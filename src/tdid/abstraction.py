@@ -22,6 +22,7 @@ from .model import (
     CondensedTdid,
     ModelError,
     ModelFormatError,
+    _decode,
     validate,
 )
 
@@ -198,12 +199,10 @@ class Variant:
 
 def parse_lattice(text: str | bytes) -> LatticeSpec:
     """Parse a lattice specification file."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     times: list[tuple[str, tuple[tuple[int, ...], ...]]] = []
     groups: list[tuple[str, tuple[str, ...]]] = []
     choices: tuple[str, ...] | None = None
-    for n, raw in enumerate(text.splitlines(), start=1):
+    for n, raw in enumerate(_decode(text).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

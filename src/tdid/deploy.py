@@ -17,7 +17,7 @@ over all value nodes.  Decision nodes observe their informational parents
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -297,6 +297,25 @@ def deploy(model: CondensedTdid, *, barren: bool = True) -> DeployedDid:
     return eliminate_barren(did) if barren else did
 
 
+def _parents(arcs) -> dict[NodeId, list[NodeId]]:
+    parents_of: dict[NodeId, list[NodeId]] = {}
+    for src, dst in arcs:
+        parents_of.setdefault(dst, []).append(src)
+    return parents_of
+
+
+def _ancestors(parents_of, roots) -> set[NodeId]:
+    """The roots and every node with a directed path to one of them."""
+    out = set(roots)
+    stack = list(out)
+    while stack:
+        for p in parents_of.get(stack.pop(), ()):
+            if p not in out:
+                out.add(p)
+                stack.append(p)
+    return out
+
+
 def _order_decisions(model, nodes, arcs) -> tuple[NodeId, ...]:
     """Total order over decision nodes: by slice, then topologically within
     a slice (a decision that can influence another — possibly through
@@ -304,21 +323,8 @@ def _order_decisions(model, nodes, arcs) -> tuple[NodeId, ...]:
     declaration order, breaks ties so the order is stable under permuting
     the model's variable declarations."""
     decisions = [n.id for n in nodes if n.kind == DECISION]
-    parents_of: dict[NodeId, list[NodeId]] = {}
-    for src, dst in arcs:
-        parents_of.setdefault(dst, []).append(src)
-
-    def ancestors(nid: NodeId) -> set[NodeId]:
-        out: set[NodeId] = set()
-        stack = list(parents_of.get(nid, []))
-        while stack:
-            p = stack.pop()
-            if p not in out:
-                out.add(p)
-                stack.extend(parents_of.get(p, []))
-        return out
-
-    anc = {d: ancestors(d) for d in decisions}
+    parents_of = _parents(arcs)
+    anc = {d: _ancestors(parents_of, (d,)) for d in decisions}
     by_slice: dict[int, list[NodeId]] = {}
     for d in decisions:
         by_slice.setdefault(d[1], []).append(d)
@@ -341,63 +347,42 @@ def _order_decisions(model, nodes, arcs) -> tuple[NodeId, ...]:
 
 
 def _information(arcs, decision_order) -> tuple:
-    parents_of: dict[NodeId, list[NodeId]] = {}
-    for src, dst in arcs:
-        parents_of.setdefault(dst, []).append(src)
-    info = []
-    for k, d in enumerate(decision_order):
-        obs = list(parents_of.get(d, []))
-        for earlier in decision_order[:k]:
-            if earlier not in obs:
-                obs.append(earlier)
-        info.append((d, tuple(obs)))
-    return tuple(info)
+    parents_of = _parents(arcs)
+    return tuple(
+        (d, tuple(dict.fromkeys([*parents_of.get(d, ()), *decision_order[:k]])))
+        for k, d in enumerate(decision_order)
+    )
 
 
 def eliminate_barren(did: DeployedDid) -> DeployedDid:
     """Drop nodes that cannot influence any value node.
 
-    Chance and copy nodes are barren when childless.  A decision node is
-    barren only when it is childless *and* no later decision remains: a
-    childless decision that a later decision observes can still act as a
-    signal, so removing it could change the achievable expected utility.
-    Value nodes are never removed.  Iterates to a fixpoint; the maximum
-    expected utility is unchanged.
+    Let D* be the last decision in ``decision_order`` with a directed path
+    to a value node.  A node is kept exactly when it has a directed path to
+    a value node or to a decision at or before D* (value nodes and those
+    decisions are kept themselves).  Decisions before D* may be childless:
+    a later decision observes them, so they can still act as a signal.
+    This is the fixpoint of repeatedly deleting childless chance and copy
+    nodes and a childless last decision: arcs and the decision order both
+    run forward, so a decision after D* reaches only nodes that are
+    stripped too.  The maximum expected utility is unchanged.
     """
-    nodes = {n.id: n for n in did.nodes}
-    arcs = set(did.arcs)
-    order = list(did.decision_order)
-
-    changed = True
-    while changed:
-        changed = False
-        children: dict[NodeId, int] = {nid: 0 for nid in nodes}
-        for src, dst in arcs:
-            children[src] += 1
-        for nid, n in list(nodes.items()):
-            if n.kind == VALUE or children[nid]:
-                continue
-            if n.kind == DECISION and order and order[-1] != nid:
-                continue
-            del nodes[nid]
-            arcs = {(s, d) for s, d in arcs if d != nid}
-            if n.kind == DECISION:
-                order.remove(nid)
-            changed = True
-
-    keep = set(nodes)
-    kept_nodes = tuple(n for n in did.nodes if n.id in keep)
+    parents_of = _parents(did.arcs)
+    to_value = _ancestors(parents_of, did.value_nodes)
+    cut = max(
+        (k + 1 for k, d in enumerate(did.decision_order) if d in to_value), default=0
+    )
+    keep = _ancestors(parents_of, did.value_nodes + did.decision_order[:cut])
     kept_arcs = tuple(a for a in did.arcs if a[0] in keep and a[1] in keep)
     decision_order = tuple(d for d in did.decision_order if d in keep)
-    info = _information(kept_arcs, decision_order)
     return DeployedDid(
         did.slices,
-        kept_nodes,
+        tuple(n for n in did.nodes if n.id in keep),
         kept_arcs,
         tuple(t for t in did.tables if t.node in keep),
         tuple(u for u in did.utilities if u.node in keep),
         decision_order,
-        info,
+        _information(kept_arcs, decision_order),
     )
 
 
@@ -449,22 +434,8 @@ def collapse_copies(did: DeployedDid) -> DeployedDid:
         parents, arr = rewire_table(u.parents, np.asarray(u.values)[..., None], 1)
         utilities.append(DeployedUtility(u.node, parents, tuple(arr.reshape(-1))))
 
-    arcs = []
-    for src, dst in did.arcs:
-        if dst in source:
-            continue
-        a = (resolve(src), dst)
-        if a not in arcs:
-            arcs.append(a)
-
-    info = []
-    for d, obs in did.info:
-        seen: list[NodeId] = []
-        for o in obs:
-            r = resolve(o)
-            if r not in seen:
-                seen.append(r)
-        info.append((d, tuple(seen)))
+    arcs = dict.fromkeys((resolve(s), d) for s, d in did.arcs if d not in source)
+    info = tuple((d, tuple(dict.fromkeys(map(resolve, obs)))) for d, obs in did.info)
 
     return DeployedDid(
         did.slices,
@@ -473,7 +444,7 @@ def collapse_copies(did: DeployedDid) -> DeployedDid:
         tuple(tables),
         tuple(utilities),
         did.decision_order,
-        tuple(info),
+        info,
     )
 
 

@@ -21,13 +21,14 @@ deliberation time t*, the model to use, and the full curve.
 
 from __future__ import annotations
 
+import math
 import pathlib
 import time
 from dataclasses import dataclass, replace
 
 from ._fmt import canonical_json, fmt_float, fmt_int
 from .deploy import deploy, table_entry_count
-from .model import CondensedTdid, ModelError, ModelFormatError
+from .model import CondensedTdid, ModelError, ModelFormatError, _decode
 from .model import parse as parse_model
 from .model import serialize as serialize_model
 from .solve import Policy, solve
@@ -160,17 +161,19 @@ def parse_urgency(text: str) -> UrgencyFunction:
     """Parse CLI syntax: ``linear:<rate>`` or ``step:<deadline>,<penalty>``."""
     kind, _, args = text.partition(":")
     try:
-        if kind == "linear":
-            return UrgencyFunction.linear(float(args))
-        if kind == "step":
-            d, p = args.split(",")
-            return UrgencyFunction.step(float(d), float(p))
+        nums = tuple(float(a) for a in args.split(","))
     except ValueError:
-        pass
-    raise MetareasonError(
-        f"cannot parse urgency {text!r}: expected linear:<rate> or "
-        "step:<deadline>,<penalty>"
-    )
+        nums = ()
+    if len(nums) != {"linear": 1, "step": 2}.get(kind):
+        raise MetareasonError(
+            f"cannot parse urgency {text!r}: expected linear:<rate> or "
+            "step:<deadline>,<penalty>"
+        )
+    if not all(map(math.isfinite, nums)):
+        raise MetareasonError(f"urgency {text!r}: numbers must be finite")
+    if kind == "linear":
+        return UrgencyFunction.linear(*nums)
+    return UrgencyFunction.step(*nums)
 
 
 @dataclass(frozen=True)
@@ -343,8 +346,12 @@ def load_kb(path) -> list[SuiteEntry]:
 
 
 def _read_entry(manifest: pathlib.Path) -> SuiteEntry:
+    try:
+        text = _decode(manifest.read_bytes())
+    except ModelFormatError as err:
+        raise MetareasonError(f"{manifest.name}: {err}") from None
     fields: dict[str, str] = {}
-    for n, raw in enumerate(manifest.read_text().splitlines(), start=1):
+    for n, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -362,14 +369,26 @@ def _read_entry(manifest: pathlib.Path) -> SuiteEntry:
         model = parse_model(model_path.read_bytes())
     except OSError as err:
         raise MetareasonError(f"{manifest.name}: cannot read model: {err}") from err
-    q = fields["quality"]
+
+    def number(key, kind):
+        try:
+            x = kind(fields[key])
+            if math.isfinite(x):
+                return x
+        except ValueError:
+            pass
+        raise MetareasonError(
+            f"{manifest.name}: {key} must be a finite {kind.__name__}, "
+            f"got {fields[key]!r}"
+        )
+
     return SuiteEntry(
         name=manifest.stem,
         model=model,
-        cost_time=float(fields["cost"]),
-        space_size=int(fields["space"]),
-        n_intervals=int(fields["intervals"]),
-        quality=None if q == "unsolved" else float(q),
+        cost_time=number("cost", float),
+        space_size=number("space", int),
+        n_intervals=number("intervals", int),
+        quality=None if fields["quality"] == "unsolved" else number("quality", float),
         tags=tuple(fields.get("tags", "").split()),
     )
 

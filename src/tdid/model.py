@@ -18,8 +18,9 @@ implement the line-oriented text format documented in the README.
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 __all__ = [
@@ -67,11 +68,6 @@ class ModelFormatError(ModelError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-
-
-def _as_tuple(obj, value):
-    # Frozen dataclasses: normalize list-ish fields to tuples in-place.
-    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -290,8 +286,8 @@ def validate(model: CondensedTdid) -> list[str]:
     if not model.of_kind(VALUE):
         out.append("model has no value variable")
 
-    if model.tick is not None and not model.tick[0] > 0:
-        out.append(f"tick duration must be positive, got {model.tick[0]}")
+    if model.tick is not None and not 0 < model.tick[0] < math.inf:
+        out.append(f"tick duration must be positive and finite, got {model.tick[0]}")
 
     if not structure_ok:
         return out  # table checks below assume sound structure
@@ -396,6 +392,9 @@ def _check_table(model, t, covered) -> list[str]:
             if len(row) != n_cols:
                 out.append(f"{where}: row {r} has {len(row)} entries, expected {n_cols}")
                 continue
+            if not all(map(math.isfinite, row)):
+                out.append(f"{where}: row {r} has non-finite entries")
+                continue
             if any(x < 0.0 or x > 1.0 for x in row):
                 out.append(f"{where}: row {r} has entries outside [0, 1]")
             s = sum(row)
@@ -404,7 +403,7 @@ def _check_table(model, t, covered) -> list[str]:
     else:
         if len(t.values) != n_rows:
             out.append(f"{where}: expected {n_rows} values, got {len(t.values)}")
-        if any(x != x or x in (float("inf"), float("-inf")) for x in t.values):
+        if not all(map(math.isfinite, t.values)):
             out.append(f"{where}: utility values must be finite")
     return out
 
@@ -453,9 +452,7 @@ def parse(text: str | bytes) -> CondensedTdid:
     at indices the variable is not indexed by.  Numeric invariants such as
     row normalization are left to ``validate``.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    lines = _logical_lines(text)
+    lines = _logical_lines(_decode(text))
     if not lines:
         raise ModelFormatError("empty model file")
 
@@ -658,6 +655,17 @@ def _parse_table(toks, ln, rows: bool):
     return name, idx, parents, values
 
 
+def _decode(text: str | bytes) -> str:
+    """Text of a model-format file; bytes must be UTF-8."""
+    if isinstance(text, str):
+        return text
+    try:
+        return text.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = text.count(b"\n", 0, err.start) + 1
+        raise ModelFormatError("not valid UTF-8 text", line) from None
+
+
 def _logical_lines(text: str) -> list[tuple[int, list[str]]]:
     out = []
     for n, raw in enumerate(text.splitlines(), start=1):
@@ -706,13 +714,14 @@ def canonical(model: CondensedTdid) -> CondensedTdid:
 def serialize(model: CondensedTdid) -> str:
     """Render a model in canonical form.
 
-    Variables keep declaration order; arcs are sorted by (kind, src, dst);
-    tables are grouped per variable with explicit indices ascending and the
-    stationary table last.  Output is byte-stable: structurally identical
-    models serialize identically.
+    Variables keep declaration order; arcs and tables follow ``canonical``:
+    arcs sorted by (kind, src, dst), tables grouped per variable with
+    explicit indices ascending and the stationary table last.  Output is
+    byte-stable: structurally identical models serialize identically.
     """
     from ._fmt import fmt_float, fmt_int
 
+    model = canonical(model)
     out = ["tdid 1"]
     out.append("master " + " ".join(fmt_int(i) for i in model.master))
     if model.tick is not None:
@@ -726,20 +735,14 @@ def serialize(model: CondensedTdid) -> str:
             line += " ; times " + " ".join(fmt_int(i) for i in v.times)
         out.append(line)
 
-    for a in sorted(model.arcs, key=lambda a: (a.kind, a.src, a.dst)):
+    for a in model.arcs:
         out.append(f"arc {a.kind} {a.src} {a.dst}")
-
-    order = {v.name: k for k, v in enumerate(model.variables)}
-
-    def table_key(t):
-        return (order.get(t.variable, len(order)), t.stationary, t.time_index or 0)
-
-    for cpd in sorted(model.cpds, key=table_key):
+    for cpd in model.cpds:
         at = "*" if cpd.stationary else fmt_int(cpd.time_index)
         parents = " ".join(n for n, _ in cpd.parents)
         rows = " , ".join(" ".join(fmt_float(x) for x in row) for row in cpd.table)
         out.append(f"cpt {cpd.variable} @ {at} |{' ' + parents if parents else ''} : {rows}")
-    for util in sorted(model.utilities, key=table_key):
+    for util in model.utilities:
         at = "*" if util.stationary else fmt_int(util.time_index)
         parents = " ".join(n for n, _ in util.parents)
         vals = " ".join(fmt_float(x) for x in util.values)

@@ -181,6 +181,11 @@ def test_parse_lattice_errors():
         parse_lattice("spce g : X\n")
 
 
+def test_parse_lattice_rejects_invalid_utf8():
+    with pytest.raises(ModelFormatError, match="line 2: not valid UTF-8"):
+        parse_lattice(b"time all : 1 | 1 2\nspace g : \xfe\n")
+
+
 def test_enumerate_cardiac_lattice(cardiac, fixtures_dir):
     spec = parse_lattice((fixtures_dir / "cardiac.lattice").read_bytes())
     variants = enumerate_abstractions(cardiac, spec)

@@ -52,6 +52,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def one_error_line(err):
+    lines = err.splitlines()
+    return len(lines) == 1 and lines[0].startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # validate
 
@@ -120,6 +125,23 @@ def test_deploy_invalid_model(capsys, tmp_path):
     path.write_text(CYCLIC)
     code, _, err = run(capsys, "deploy", path)
     assert code == 1 and "error:" in err
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ONE_DECISION.replace("0.5 0.5", "nan nan").encode(),
+        ONE_DECISION.replace("0.5 0.5", "inf 0").encode(),
+        ONE_DECISION.replace("master 1", "tick inf s\nmaster 1").encode(),
+        ONE_DECISION.encode().replace(b"act wait", b"act w\xffit"),
+    ],
+    ids=["nan-row", "inf-row", "inf-tick", "not-utf8"],
+)
+def test_solve_rejects_bad_model_input(capsys, tmp_path, bad):
+    path = tmp_path / "bad.tdid"
+    path.write_bytes(bad)
+    code, out, err = run(capsys, "solve", path)
+    assert code == 1 and out == "" and one_error_line(err)
 
 
 def test_deploy_byte_stable(capsys, fixtures_dir):
@@ -287,6 +309,33 @@ def test_select_infeasible_deadline(capsys, kb):
 def test_select_bad_urgency(capsys, kb):
     code, _, err = run(capsys, "select", kb, "--urgency", "ramp:1")
     assert code == 1 and "urgency" in err
+
+
+@pytest.mark.parametrize("urgency", ["linear:inf", "linear:nan", "step:inf,1", "step:4,-inf"])
+def test_select_non_finite_urgency(capsys, kb, urgency):
+    code, _, err = run(capsys, "select", kb, "--urgency", urgency)
+    assert code == 1 and one_error_line(err) and "finite" in err
+
+
+@pytest.mark.parametrize(
+    "bad", ["quality abc", "cost abc", "space abc", "intervals abc", "cost inf", "quality nan"]
+)
+def test_select_bad_manifest_number(capsys, kb, bad):
+    field = bad.split()[0]
+    manifest = kb / "full.entry"
+    lines = manifest.read_text().splitlines()
+    manifest.write_text("\n".join(bad if ln.split()[0] == field else ln for ln in lines))
+    code, _, err = run(capsys, "select", kb, "--urgency", "linear:1")
+    assert code == 1 and one_error_line(err)
+    assert f"full.entry: {field} must be" in err
+
+
+def test_select_non_utf8_manifest(capsys, kb):
+    manifest = kb / "full.entry"
+    manifest.write_bytes(manifest.read_bytes() + b"tags caf\xe9\n")
+    code, _, err = run(capsys, "select", kb, "--urgency", "linear:1")
+    assert code == 1 and one_error_line(err)
+    assert "full.entry: line 6: not valid UTF-8" in err
 
 
 def test_select_requires_urgency(capsys, kb):

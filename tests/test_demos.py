@@ -1,0 +1,24 @@
+"""Every demo script runs to completion without a traceback."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import tdid
+
+DEMOS = sorted((pathlib.Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+SRC = pathlib.Path(tdid.__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(demo, tmp_path):
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, TMPDIR=str(tmp_path))
+    proc = subprocess.run(
+        [sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr

@@ -1,8 +1,9 @@
 """Deployment: unrolling, copies, lag wiring, barren removal, collapse."""
 
+import numpy as np
 import pytest
 
-from tdid.model import INST, ModelError, parse
+from tdid.model import DECISION, INST, VALUE, ModelError, parse
 from tdid.deploy import (
     COPY,
     collapse_copies,
@@ -15,6 +16,8 @@ from tdid.deploy import (
     serialize_deployed,
     table_entry_count,
 )
+
+from gen import random_model
 
 
 def two_var(fixtures_dir):
@@ -296,6 +299,72 @@ def test_trailing_childless_decision_removed():
     did = deploy(m)
     assert not did.has_node(("D", 1))
     assert did.decision_order == ()
+
+
+def fixpoint_barren(did):
+    """Reference rule, iterated to a fixpoint: delete childless chance and
+    copy nodes, and the last remaining decision when it is childless."""
+    kinds = {n.id: n.kind for n in did.nodes}
+    arcs = set(did.arcs)
+    order = list(did.decision_order)
+    changed = True
+    while changed:
+        changed = False
+        with_children = {src for src, _ in arcs}
+        for nid, kind in list(kinds.items()):
+            if kind == VALUE or nid in with_children:
+                continue
+            if kind == DECISION and order[-1] != nid:
+                continue
+            del kinds[nid]
+            arcs = {a for a in arcs if a[1] != nid}
+            if kind == DECISION:
+                order.remove(nid)
+            changed = True
+    return set(kinds), tuple(order)
+
+
+def test_barren_rule_matches_reference_fixpoint():
+    rng = np.random.default_rng(20260)
+    removed_decision = kept_childless_decision = 0
+    for _ in range(400):
+        m = random_model(rng, max_deployed_nonvalue=12, max_decisions=4)
+        did = deploy(m, barren=False)
+        out = eliminate_barren(did)
+        assert ({n.id for n in out.nodes}, out.decision_order) == fixpoint_barren(did)
+        removed_decision += len(out.decision_order) < len(did.decision_order)
+        kept_childless_decision += any(not out.children[d] for d in out.decision_order)
+    # The draws exercise both halves of the decision rule.
+    assert removed_decision and kept_childless_decision
+
+
+def test_trailing_decisions_removed_even_when_one_observes_the_other():
+    # D0 reaches U.  D1 and D2 come after it and reach no value node; D2
+    # observes D1, yet both are barren.
+    m = parse(
+        """
+        tdid 1
+        master 1
+        chance C : c0 c1
+        decision D0 : a b
+        decision D1 : a b
+        decision D2 : a b
+        value U
+        arc inst C D1
+        arc inst D1 D2
+        arc inst C U
+        arc inst D0 U
+        cpt C @ 1 | : 0.5 0.5
+        util U @ 1 | C D0 : 1 0 0 1
+        """
+    )
+    full = deploy(m, barren=False)
+    assert full.decision_order == (("D0", 1), ("D1", 1), ("D2", 1))
+    did = eliminate_barren(full)
+    assert {node_name(n.id) for n in did.nodes} == {"C@1", "D0@1", "U@1"}
+    assert did.decision_order == (("D0", 1),)
+    assert did.info == ((("D0", 1), ()),)
+    assert fixpoint_barren(full) == ({n.id for n in did.nodes}, did.decision_order)
 
 
 # --- collapse ----------------------------------------------------------------

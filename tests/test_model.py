@@ -94,6 +94,19 @@ def test_denormalized_row_reported():
     assert "sums to" in problems[0]
 
 
+@pytest.mark.parametrize("row", ["nan nan", "inf 0", "-inf 1", "0.5 nan"])
+def test_non_finite_cpt_entries_reported(row):
+    problems = validate(parse(MINIMAL.replace("0.5 0.5", row)))
+    assert problems == ["cpd X @ 1: row 0 has non-finite entries"]
+
+
+@pytest.mark.parametrize("duration", ["inf", "nan", "0", "-1"])
+def test_tick_must_be_positive_and_finite(duration):
+    text = MINIMAL.replace("master 1", f"tick {duration} s\nmaster 1")
+    problems = validate(parse(text))
+    assert len(problems) == 1 and "tick duration" in problems[0]
+
+
 def test_instantaneous_cycle_reported():
     m = parse(
         """
@@ -268,6 +281,12 @@ def test_parse_rejects_duplicate_table():
     text = MINIMAL + "cpt X @ 1 | : 0.5 0.5\n"
     with pytest.raises(ModelFormatError, match="duplicate cpt"):
         parse(text)
+
+
+def test_parse_rejects_invalid_utf8():
+    data = MINIMAL.encode().replace(b"value U", b"value U # caf\xff")
+    with pytest.raises(ModelFormatError, match="line 4: not valid UTF-8"):
+        parse(data)
 
 
 # --- serialization -------------------------------------------------------
