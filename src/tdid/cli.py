@@ -15,17 +15,15 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ._fmt import canonical_json
 from .abstraction import abstract_space, retime
 from .deploy import collapse_copies, deploy, emit_dot, serialize_deployed
 from .metareason import (
     Problem,
     construct,
-    load_kb,
     parse_urgency,
+    prepare_suite,
     select,
     selection_report,
-    solve_entry,
 )
 from .model import ModelError, parse, serialize, validate
 from .solve import (
@@ -130,11 +128,14 @@ def cmd_abstract(args) -> int:
     return EXIT_OK
 
 
-def cmd_select(args) -> int:
-    problem = Problem(
+def _problem(args) -> Problem:
+    return Problem(
         urgency=parse_urgency(args.urgency), t0=args.t0, deadline=args.deadline
     )
-    result = construct(args.kb, problem)
+
+
+def cmd_select(args) -> int:
+    result = construct(args.kb, _problem(args))
     _write(selection_report(result.curve, result.policy.meu), args.out)
     if args.policy_out:
         did = deploy(result.entry.model)
@@ -143,24 +144,9 @@ def cmd_select(args) -> int:
 
 
 def cmd_evc(args) -> int:
-    urgency = parse_urgency(args.urgency)
-    suite = load_kb(args.kb)
-    if args.deadline is not None:
-        suite = [e for e in suite if e.cost_time <= args.deadline]
-    suite = [e if e.quality is not None else solve_entry(e)[0] for e in suite]
-    curve = select(suite, urgency, args.t0)
-    report = canonical_json(
-        {
-            "t0": curve.t0,
-            "curve": [
-                {"t": p.t, "Q": p.q, "uc": p.uc, "evc": p.evc}
-                for p in curve.points
-            ],
-            "t_star": curve.t_star,
-            "model": curve.best.name,
-        }
-    )
-    _write(report, args.out)
+    problem = _problem(args)
+    suite, _ = prepare_suite(args.kb, problem)
+    _write(selection_report(select(suite, problem.urgency, problem.t0)), args.out)
     return EXIT_OK
 
 

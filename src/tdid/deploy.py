@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 
@@ -322,27 +323,23 @@ def _order_decisions(model, nodes, arcs) -> tuple[NodeId, ...]:
     intermediate chance nodes — acts first), then by name.  Name, not
     declaration order, breaks ties so the order is stable under permuting
     the model's variable declarations."""
-    decisions = [n.id for n in nodes if n.kind == DECISION]
-    parents_of = _parents(arcs)
-    anc = {d: _ancestors(parents_of, (d,)) for d in decisions}
-    by_slice: dict[int, list[NodeId]] = {}
-    for d in decisions:
-        by_slice.setdefault(d[1], []).append(d)
+    # Only same-slice paths can order two decisions of one slice: lag and
+    # copy arcs run strictly forward in time, so walk instantaneous arcs.
+    parents_of = _parents(a for a in arcs if a[0][1] == a[1][1])
+    decisions = sorted(
+        (n.id for n in nodes if n.kind == DECISION), key=lambda d: (d[1], d[0])
+    )
+    anc = {d: _ancestors(parents_of, (d,)) - {d} for d in decisions}
     out: list[NodeId] = []
-    for i in sorted(by_slice):
-        group = sorted(by_slice[i])  # name order
-        while group:
+    for _, group in groupby(decisions, key=lambda d: d[1]):
+        waiting = list(group)
+        while waiting:
             # Kahn step: take the first decision (by name) no other waiting
-            # decision can influence.  Same-slice influence runs along
-            # instantaneous arcs, which are acyclic, so this terminates.
-            for d in group:
-                if not any(o in anc[d] for o in group if o != d):
-                    out.append(d)
-                    group.remove(d)
-                    break
-            else:  # unreachable for deployments of valid models
-                out.extend(group)
-                group.clear()
+            # decision can influence.  Instantaneous arcs are acyclic, so
+            # one always exists.
+            d = next(d for d in waiting if anc[d].isdisjoint(waiting))
+            out.append(d)
+            waiting.remove(d)
     return tuple(out)
 
 

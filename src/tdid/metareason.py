@@ -49,6 +49,7 @@ __all__ = [
     "quality",
     "evc",
     "select",
+    "prepare_suite",
     "construct",
     "selection_report",
     "parse_urgency",
@@ -235,29 +236,37 @@ def comprehensive_value(entry: SuiteEntry) -> float:
     return entry.quality - entry.cost_time
 
 
+def _sweep(suite, times):
+    """Yield ``(t, entry)`` for the ascending ``times``, the entry attaining
+    Q(t).  Walking the suite in stable cost order, a newly affordable entry
+    replaces the best only with strictly higher quality: ties go to the
+    cheaper entry, then to suite order."""
+    if not suite:
+        raise MetareasonError("empty model suite")
+    order = sorted(suite, key=lambda e: e.cost_time)
+    best, k = None, 0
+    for t in times:
+        while k < len(order) and order[k].cost_time <= t:
+            e, k = order[k], k + 1
+            if e.quality is None:  # name the first unsolved entry in suite order
+                e = next(x for x in suite if x.quality is None and x.cost_time <= t)
+                raise MetareasonError(f"entry {e.name!r} is unsolved; no quality yet")
+            if best is None or e.quality > best.quality:
+                best = e
+        if best is None:
+            raise MetareasonError(
+                f"no model is computable within t={fmt_float(float(t))}; suites "
+                "should include a zero-cost baseline (default action)"
+            )
+        yield t, best
+
+
 def quality(suite, t: float) -> tuple[float, SuiteEntry]:
     """Best quality achievable within deliberation time t, and its entry.
 
     Ties break toward the cheaper entry, then suite order.
     """
-    if not suite:
-        raise MetareasonError("empty model suite")
-    feasible = [e for e in suite if e.cost_time <= t]
-    if not feasible:
-        raise MetareasonError(
-            f"no model is computable within t={fmt_float(float(t))}; suites "
-            "should include a zero-cost baseline (default action)"
-        )
-    best = None
-    for e in feasible:
-        if e.quality is None:
-            raise MetareasonError(f"entry {e.name!r} is unsolved; no quality yet")
-        if (
-            best is None
-            or e.quality > best.quality
-            or (e.quality == best.quality and e.cost_time < best.cost_time)
-        ):
-            best = e
+    _, best = next(_sweep(suite, (t,)))
     return best.quality, best
 
 
@@ -285,9 +294,6 @@ class EvcCurve:
     t_star: float
     best: SuiteEntry
 
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-
 
 def select(suite, urgency: UrgencyFunction, t0: float | None = None) -> EvcCurve:
     """Pick the deliberation time maximizing EVC, and the model to use.
@@ -296,6 +302,7 @@ def select(suite, urgency: UrgencyFunction, t0: float | None = None) -> EvcCurve
     (whose EVC is identically 0, so deliberation never extends at a
     loss).  Ties break toward the smaller time: act sooner.  A t0 of
     None means "the fastest model available": its cheapest cost time.
+    One sorted sweep gives Q at every candidate; curve values must be finite.
     """
     if t0 is None:
         if not suite:
@@ -303,15 +310,18 @@ def select(suite, urgency: UrgencyFunction, t0: float | None = None) -> EvcCurve
         t0 = min(e.cost_time for e in suite)
     candidates = sorted({float(t0)} | {e.cost_time for e in suite if e.cost_time >= t0})
     points = []
-    best_point: EvcPoint | None = None
-    for t in candidates:
-        q_t, _ = quality(suite, t)
-        value = evc(suite, urgency, t0, t)
-        point = EvcPoint(t, q_t, q_t - urgency(t), value)
+    best_point, best_entry = None, None
+    for t, entry in _sweep(suite, candidates):
+        if not points:
+            q_t0, u_t0 = entry.quality, urgency(t0)
+        q, u_t = entry.quality, urgency(t)
+        point = EvcPoint(t, q, q - u_t, (q - q_t0) - (u_t - u_t0))
         points.append(point)
         if best_point is None or point.evc > best_point.evc:
-            best_point = point
-    _, best_entry = quality(suite, best_point.t)
+            best_point, best_entry = point, entry
+    for p in points:
+        if not (math.isfinite(p.uc) and math.isfinite(p.evc)):
+            raise MetareasonError(f"EVC curve is not finite at t={fmt_float(p.t)}")
     return EvcCurve(float(t0), tuple(points), best_point.t, best_entry)
 
 
@@ -330,6 +340,9 @@ class Problem:
 
     def __post_init__(self):
         object.__setattr__(self, "tags", tuple(self.tags))
+        for name, x in (("t0", self.t0), ("deadline", self.deadline)):
+            if x is not None and not math.isfinite(x):
+                raise MetareasonError(f"{name} must be finite, got {x!r}")
 
 
 def load_kb(path) -> list[SuiteEntry]:
@@ -421,12 +434,14 @@ class ConstructResult:
     suite: tuple[SuiteEntry, ...]
 
 
-def construct(kb_path, problem: Problem) -> ConstructResult:
-    """Full selection pipeline over a knowledge base.
+def prepare_suite(
+    kb_path, problem: Problem
+) -> tuple[list[SuiteEntry], dict[str, Policy]]:
+    """Load a knowledge base and make it ready for ``select``.
 
-    Filters entries by the problem's tags and deadline, solves any entry
-    still missing its quality, selects the best deliberation time and
-    model, then solves the winner for its policy.
+    Keeps the entries carrying the problem's tags and costing at most its
+    deadline, and solves any entry still missing its quality.  Returns the
+    suite and the policies solved on the way, by entry name.
     """
     suite = load_kb(kb_path)
     if problem.tags:
@@ -443,31 +458,31 @@ def construct(kb_path, problem: Problem) -> ConstructResult:
             )
 
     policies: dict[str, Policy] = {}
-    prepared = []
-    for e in suite:
+    for k, e in enumerate(suite):
         if e.quality is None:
-            e, policies[e.name] = solve_entry(e)
-        prepared.append(e)
+            suite[k], policies[e.name] = solve_entry(e)
+    return suite, policies
 
-    curve = select(prepared, problem.urgency, problem.t0)
+
+def construct(kb_path, problem: Problem) -> ConstructResult:
+    """Full selection pipeline over a knowledge base: ``prepare_suite``,
+    ``select``, then solve the winner for its policy."""
+    suite, policies = prepare_suite(kb_path, problem)
+    curve = select(suite, problem.urgency, problem.t0)
     winner = curve.best
-    if winner.name in policies:
-        policy = policies[winner.name]
-    else:
-        policy = solve(deploy(winner.model))
-    return ConstructResult(curve, winner, policy, tuple(prepared))
+    policy = policies.get(winner.name) or solve(deploy(winner.model))
+    return ConstructResult(curve, winner, policy, tuple(suite))
 
 
-def selection_report(curve: EvcCurve, meu: float) -> str:
-    """Selection result as JSON with stable key order."""
-    return canonical_json(
-        {
-            "t0": curve.t0,
-            "curve": [
-                {"t": p.t, "Q": p.q, "uc": p.uc, "evc": p.evc} for p in curve.points
-            ],
-            "t_star": curve.t_star,
-            "model": curve.best.name,
-            "meu": meu,
-        }
-    )
+def selection_report(curve: EvcCurve, meu: float | None = None) -> str:
+    """Selection result as JSON with stable key order; the ``"meu"`` key
+    is left out when ``meu`` is None."""
+    report = {
+        "t0": curve.t0,
+        "curve": [{"t": p.t, "Q": p.q, "uc": p.uc, "evc": p.evc} for p in curve.points],
+        "t_star": curve.t_star,
+        "model": curve.best.name,
+    }
+    if meu is not None:
+        report["meu"] = meu
+    return canonical_json(report)

@@ -1,10 +1,16 @@
 """Command-line interface: exit codes, report formats, byte stability."""
 
+import contextlib
+import io
 import json
+import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tdid.cli import main
 from tdid.metareason import CostModel, make_entry, with_cost, write_entry
@@ -363,3 +369,114 @@ def test_module_invocation(tmp_path, fixtures_dir):
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [[], ["--t0", "3"], ["--deadline", "3"], ["--t0", "2.9", "--deadline", "9"]],
+)
+@pytest.mark.parametrize("urgency", ["linear:0", "linear:0.5", "step:2,3"])
+def test_evc_is_select_without_meu(capsys, kb, urgency, extra):
+    code, selected, _ = run(capsys, "select", kb, "--urgency", urgency, *extra)
+    assert code == 0
+    code, curve, _ = run(capsys, "evc", kb, "--urgency", urgency, *extra)
+    assert code == 0
+    head, meu = selected.rsplit(', "meu": ', 1)
+    assert meu.endswith("}\n") and "," not in meu
+    assert curve == head + "}\n"
+
+
+def test_evc_infeasible_deadline(capsys, kb):
+    code, _, err = run(capsys, "evc", kb, "--urgency", "linear:1", "--deadline", "0.1")
+    assert code == 1 and one_error_line(err) and "infeasible deadline" in err
+
+
+@pytest.mark.parametrize("command", ["select", "evc"])
+@pytest.mark.parametrize(
+    "flag", ["--t0=nan", "--t0=inf", "--t0=-inf", "--deadline=nan", "--deadline=inf"]
+)
+def test_selection_rejects_non_finite_times(capsys, kb, command, flag):
+    code, _, err = run(capsys, command, kb, "--urgency", "linear:1", flag)
+    field = flag[2:].split("=")[0]
+    assert code == 1 and one_error_line(err) and f"{field} must be finite" in err
+
+
+@pytest.mark.parametrize("command", ["select", "evc"])
+def test_selection_rejects_overflowing_curve(capsys, kb, command):
+    code, _, err = run(capsys, command, kb, "--urgency", "linear:1e308")
+    assert code == 1 and one_error_line(err) and "not finite at t=" in err
+
+
+def test_selection_rejects_overflowing_qualities(capsys, kb):
+    for name, q in (("full", "1e308"), ("coarse", "-1e308")):
+        manifest = kb / f"{name}.entry"
+        lines = manifest.read_text().splitlines()
+        lines = [f"quality {q}" if ln.startswith("quality") else ln for ln in lines]
+        manifest.write_text("\n".join(lines))
+    code, _, err = run(capsys, "select", kb, "--urgency", "linear:0")
+    assert code == 1 and one_error_line(err) and "not finite at t=" in err
+
+
+# ---------------------------------------------------------------------------
+# selection command-line fuzzing
+
+NUMBER = st.sampled_from(
+    ["nan", "inf", "-inf", "1e308", "-1e308", "-1", "0", "1e3", "abc", ""]
+) | st.floats().map(repr)
+URGENCY = (
+    st.builds("linear:{}".format, NUMBER)
+    | st.builds("step:{},{}".format, NUMBER, NUMBER)
+    | st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+)
+# A valid run, and what may replace each of its values.
+BASELINE = {
+    "urgency": "linear:1",
+    "t0": None,
+    "deadline": None,
+    "quality": "unsolved",
+    "cost": "2",
+    "space": "3",
+    "intervals": "1",
+}
+EDITS = {key: URGENCY if key == "urgency" else NUMBER for key in BASELINE}
+
+
+def run_quiet(argv):
+    """Run the CLI in-process; return its exit code and stderr text."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, err.getvalue()
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    command=st.sampled_from(["select", "evc"]),
+    edits=st.sets(st.sampled_from(sorted(EDITS)), max_size=3).flatmap(
+        lambda keys: st.fixed_dictionaries({k: EDITS[k] for k in keys})
+    ),
+)
+def test_selection_cli_fuzz(tmp_path, command, edits):
+    v = {**BASELINE, **edits}
+    kb = pathlib.Path(tempfile.mkdtemp(dir=tmp_path))
+    (kb / "m.tdid").write_text(ONE_DECISION)
+    (kb / "base.entry").write_text(
+        "model m.tdid\nquality 1\ncost 0\nspace 3\nintervals 1\n"
+    )
+    fields = ("quality", "cost", "space", "intervals")
+    manifest = ["model m.tdid", *(f"{k} {v[k]}" for k in fields)]
+    (kb / "fuzz.entry").write_text("\n".join(manifest) + "\n")
+    argv = [command, str(kb), f"--urgency={v['urgency']}"]
+    argv += [f"--{k}={v[k]}" for k in ("t0", "deadline") if v[k] is not None]
+    code, err = run_quiet(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 1:
+        assert one_error_line(err), err

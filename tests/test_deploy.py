@@ -437,3 +437,48 @@ def test_emit_dot_lists_every_node_and_super(fixtures_dir):
     for n in did.nodes:
         assert f'"{node_name(n.id)}"' in dot
     assert '"super"' in dot
+
+
+def unrestricted_decision_order(did):
+    """Reference order: by slice, then repeatedly the first decision (by
+    name) that no other waiting decision of its slice reaches along any
+    arc, instantaneous or not."""
+    parents_of: dict = {}
+    for src, dst in did.arcs:
+        parents_of.setdefault(dst, []).append(src)
+
+    def ancestors(node):
+        seen, stack = set(), [node]
+        while stack:
+            for p in parents_of.get(stack.pop(), ()):
+                if p not in seen:
+                    seen.add(p)
+                    stack.append(p)
+        return seen
+
+    decisions = sorted(
+        (n.id for n in did.nodes if n.kind == DECISION), key=lambda d: (d[1], d[0])
+    )
+    order = []
+    for i in sorted({d[1] for d in decisions}):
+        group = [d for d in decisions if d[1] == i]
+        while group:
+            d = next(
+                d for d in group if not any(o in ancestors(d) for o in group if o != d)
+            )
+            order.append(d)
+            group.remove(d)
+    return tuple(order)
+
+
+def test_decision_order_matches_unrestricted_ancestor_walk():
+    rng = np.random.default_rng(20261)
+    not_by_name = 0
+    for _ in range(400):
+        m = random_model(rng, max_deployed_nonvalue=12, max_decisions=4)
+        did = deploy(m, barren=False)
+        assert did.decision_order == unrestricted_decision_order(did)
+        by_name = tuple(sorted(did.decision_order, key=lambda d: (d[1], d[0])))
+        not_by_name += did.decision_order != by_name
+    # Some draws order a slice's decisions by influence, not by name.
+    assert not_by_name

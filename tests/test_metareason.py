@@ -448,3 +448,104 @@ def test_urgency_functions_are_nondecreasing(t1, t2, rate, deadline, penalty):
     ):
         assert u(lo) <= u(hi)
         assert u(0.0) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# The sorted sweep against the direct O(n²) definition
+
+
+def reference_quality(suite, t):
+    """Q(t) scanned from scratch: best quality within t, ties to the
+    cheaper entry, then suite order."""
+    feasible = [e for e in suite if e.cost_time <= t]
+    if not feasible:
+        raise MetareasonError("no model is computable")
+    best = None
+    for e in feasible:
+        if (
+            best is None
+            or e.quality > best.quality
+            or (e.quality == best.quality and e.cost_time < best.cost_time)
+        ):
+            best = e
+    return best.quality, best
+
+
+def reference_select(suite, urgency, t0):
+    """EVC at every candidate time, each from two fresh scans of Q."""
+    if t0 is None:
+        t0 = min(e.cost_time for e in suite)
+    candidates = sorted({float(t0)} | {e.cost_time for e in suite if e.cost_time >= t0})
+    points, best = [], None
+    for t in candidates:
+        q_t, _ = reference_quality(suite, t)
+        q_t0, _ = reference_quality(suite, t0)
+        value = (q_t - q_t0) - (urgency(t) - urgency(t0))
+        point = (t, q_t, q_t - urgency(t), value)
+        points.append(point)
+        if best is None or point[3] > best[3]:
+            best = point
+    return points, best[0], reference_quality(suite, best[0])[1]
+
+
+def test_select_sweep_matches_reference_on_tie_heavy_suites():
+    rng = np.random.default_rng(20261018)
+    infeasible = 0
+    for _ in range(3000):
+        n = int(rng.integers(1, 9))
+        costs = rng.choice([0.0, 1.0, 1.0, 2.5, 4.0, 4.0], size=n)
+        quals = rng.choice([-1.0, 2.0, 2.0, 5.0, 5.0, 7.5], size=n)
+        s = [entry(f"m{i}", q, c) for i, (q, c) in enumerate(zip(quals, costs))]
+        t0 = [None, 0.0, 0.5, 1.0, 3.0, 4.0, 9.0, float(costs[0])][int(rng.integers(8))]
+        if t0 is not None and t0 < costs.min():
+            infeasible += 1
+            with pytest.raises(MetareasonError, match="no model is computable"):
+                select(s, UrgencyFunction.linear(1.0), t0)
+            continue
+        for u in (
+            UrgencyFunction.linear(0.0),
+            UrgencyFunction.linear(float(rng.choice([0.5, 1.0, 2.0]))),
+            UrgencyFunction.step(float(rng.choice([1.0, 2.5, 3.0])), 2.5),
+        ):
+            curve = select(s, u, t0)
+            points, t_star, best = reference_select(s, u, t0)
+            assert [(p.t, p.q, p.uc, p.evc) for p in curve.points] == points
+            assert curve.t_star == t_star
+            assert curve.best is best
+            for t, q, _, _ in points:
+                assert quality(s, t) == (q, reference_quality(s, t)[1])
+    assert infeasible
+
+
+def test_select_names_first_unsolved_entry_in_suite_order():
+    s = [entry("a", 1.0, 0.0), entry("late", None, 3.0), entry("early", None, 2.0)]
+    with pytest.raises(MetareasonError, match="'late' is unsolved"):
+        select(s, UrgencyFunction.linear(0.0), 3.0)
+    with pytest.raises(MetareasonError, match="'early' is unsolved"):
+        select(s, UrgencyFunction.linear(0.0), 0.0)
+
+
+@pytest.mark.parametrize(
+    "suite, urgency",
+    [
+        ([entry("a", 1.0, 0.0), entry("b", 2.0, 2.0)], UrgencyFunction.linear(1e308)),
+        ([entry("a", -1e308, 0.0), entry("b", 1e308, 2.0)], UrgencyFunction.linear(0)),
+    ],
+)
+def test_select_rejects_non_finite_curve(suite, urgency):
+    with pytest.raises(MetareasonError, match="not finite at t=2"):
+        select(suite, urgency, 0.0)
+
+
+@pytest.mark.parametrize("field", ["t0", "deadline"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_problem_rejects_non_finite_times(field, value):
+    with pytest.raises(MetareasonError, match=f"{field} must be finite"):
+        Problem(urgency=UrgencyFunction.linear(1.0), **{field: value})
+
+
+def test_selection_report_without_meu():
+    curve = select(suite_two(), UrgencyFunction.linear(1.0), 1.0)
+    assert selection_report(curve) == selection_report(curve, 9.0).replace(
+        ', "meu": 9', ""
+    )
