@@ -22,6 +22,7 @@ deliberation time t*, the model to use, and the full curve.
 from __future__ import annotations
 
 import math
+import os
 import pathlib
 import time
 from dataclasses import dataclass, replace
@@ -346,16 +347,25 @@ class Problem:
 
 
 def load_kb(path) -> list[SuiteEntry]:
-    """Read every ``*.entry`` manifest (and its model file) in a directory."""
+    """Read every ``*.entry`` manifest (and its model file) in a directory.
+
+    Every file is read on every call; a model file whose bytes equal those
+    last parsed from the same path reuses that parse (see ``_parsed``).
+    """
     path = pathlib.Path(path)
     if not path.is_dir():
         raise FileNotFoundError(f"knowledge base {str(path)!r} is not a directory")
-    entries = []
-    for manifest in sorted(path.glob("*.entry")):
-        entries.append(_read_entry(manifest))
+    names = sorted(n for n in os.listdir(path) if n.endswith(".entry"))
+    entries = [_read_entry(path / n) for n in names]
     if not entries:
         raise MetareasonError(f"knowledge base {str(path)!r} has no entries")
     return entries
+
+
+# Model-file path -> (bytes, model) of its last successful parse.  Parsing
+# is a pure function of the bytes and models are immutable, so equal bytes
+# may share one model; the path only says where to look.
+_parsed: dict[pathlib.Path, tuple[bytes, CondensedTdid]] = {}
 
 
 def _read_entry(manifest: pathlib.Path) -> SuiteEntry:
@@ -379,9 +389,20 @@ def _read_entry(manifest: pathlib.Path) -> SuiteEntry:
         )
     model_path = manifest.parent / fields["model"]
     try:
-        model = parse_model(model_path.read_bytes())
+        data = model_path.read_bytes()
     except OSError as err:
         raise MetareasonError(f"{manifest.name}: cannot read model: {err}") from err
+    seen = _parsed.get(model_path)
+    if seen is not None and seen[0] == data:
+        model = seen[1]
+    else:
+        try:
+            model = parse_model(data)
+        except ModelFormatError as err:
+            raise MetareasonError(
+                f"{manifest.name}: {fields['model']}: {err}"
+            ) from None
+        _parsed[model_path] = (data, model)
 
     def number(key, kind):
         try:

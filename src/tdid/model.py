@@ -409,34 +409,33 @@ def _check_table(model, t, covered) -> list[str]:
 
 
 def _inst_cycle(model: CondensedTdid) -> list[str] | None:
-    """Find one cycle among instantaneous arcs, or None."""
+    """Find one cycle among instantaneous arcs, or None.
+
+    Depth-first search with an explicit stack, so arbitrarily long chains
+    stay within the interpreter's recursion limit.
+    """
     children: dict[str, list[str]] = {v.name: [] for v in model.variables}
     for a in model.arcs:
         if a.kind == INST and a.src in children and a.dst in children:
             children[a.src].append(a.dst)
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {n: WHITE for n in children}
-    stack: list[str] = []
-
-    def visit(n: str) -> list[str] | None:
-        color[n] = GRAY
-        stack.append(n)
-        for c in children[n]:
-            if color[c] == GRAY:
-                return stack[stack.index(c):] + [c]
-            if color[c] == WHITE:
-                cyc = visit(c)
-                if cyc:
-                    return cyc
-        stack.pop()
-        color[n] = BLACK
-        return None
-
-    for n in children:
-        if color[n] == WHITE:
-            cyc = visit(n)
-            if cyc:
-                return cyc
+    for root in children:
+        if color[root] != WHITE:
+            continue
+        color[root] = GRAY
+        path, pending = [root], [iter(children[root])]
+        while pending:
+            c = next(pending[-1], None)
+            if c is None:
+                color[path.pop()] = BLACK
+                pending.pop()
+            elif color[c] == GRAY:
+                return path[path.index(c):] + [c]
+            elif color[c] == WHITE:
+                color[c] = GRAY
+                path.append(c)
+                pending.append(iter(children[c]))
     return None
 
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import FIXTURES
 from tdid.cli import main
 from tdid.metareason import CostModel, make_entry, with_cost, write_entry
 from tdid.model import parse, serialize
@@ -344,6 +345,16 @@ def test_select_non_utf8_manifest(capsys, kb):
     assert "full.entry: line 6: not valid UTF-8" in err
 
 
+def test_select_names_malformed_model_file(capsys, kb):
+    model = kb / "full.tdid"
+    lines = model.read_text().splitlines()
+    lines[2] = "bogus"
+    model.write_text("\n".join(lines) + "\n")
+    code, _, err = run(capsys, "select", kb, "--urgency", "linear:1")
+    assert code == 1 and one_error_line(err)
+    assert err == "error: full.entry: full.tdid: line 3: unknown directive 'bogus'\n"
+
+
 def test_select_requires_urgency(capsys, kb):
     with pytest.raises(SystemExit) as exc:
         main(["select", str(kb)])
@@ -480,3 +491,69 @@ def test_selection_cli_fuzz(tmp_path, command, edits):
     assert "Traceback" not in err
     if code == 1:
         assert one_error_line(err), err
+
+
+def tokens(text):
+    """A model file as its tokens, comments dropped, with "\\n" ending each line."""
+    lines = (line.split("#")[0].split() + ["\n"] for line in text.splitlines())
+    return [tok for line in lines for tok in line]
+
+
+FUZZ_SOURCES = {p.name: tokens(p.read_text()) for p in sorted(FIXTURES.glob("*.tdid"))}
+FUZZ_POOL = sorted({tok for toks in FUZZ_SOURCES.values() for tok in toks})
+MUTATION = st.tuples(
+    st.sampled_from(["delete", "duplicate", "replace"]),
+    st.integers(min_value=0),
+    st.sampled_from(FUZZ_POOL),
+)
+
+
+def mutate(toks, mutations):
+    """Delete, duplicate or replace one token per mutation; render as text."""
+    toks = list(toks)
+    for op, at, tok in mutations:
+        if not toks:
+            break
+        at %= len(toks)
+        if op == "delete":
+            del toks[at]
+        elif op == "duplicate":
+            toks.insert(at, toks[at])
+        else:
+            toks[at] = tok
+    return "".join(tok if tok == "\n" else tok + " " for tok in toks)
+
+
+# ``solve`` is left out until it refuses oversized models before allocating:
+# a mutation that widens a model can make it ask for more memory than exists.
+MODEL_COMMANDS = st.sampled_from(FUZZ_POOL).flatmap(
+    lambda var: st.sampled_from(
+        [
+            ["validate"],
+            ["deploy"],
+            ["deploy", "--collapse", "--emit-dot"],
+            ["deploy", "--keep-barren"],
+            ["abstract"],
+            ["abstract", "--drop", var],
+            ["abstract", "--retime", f"{var}=1,3"],
+        ]
+    )
+)
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    source=st.sampled_from(sorted(FUZZ_SOURCES)),
+    mutations=st.lists(MUTATION, min_size=1, max_size=4),
+    command=MODEL_COMMANDS,
+)
+def test_model_cli_fuzz(tmp_path, source, mutations, command):
+    path = tmp_path / "fuzz.tdid"
+    path.write_text(mutate(FUZZ_SOURCES[source], mutations))
+    code, err = run_quiet([command[0], str(path), *command[1:]])
+    assert code in (0, 1, 2, 3, 4)
+    assert "Traceback" not in err

@@ -1,6 +1,7 @@
 """Deliberation-time selection: EVC arithmetic, suites, knowledge bases."""
 
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tdid.deploy import deploy, table_entry_count
+from tdid import metareason
 from tdid.metareason import (
     ConstructResult,
     CostModel,
@@ -347,6 +349,68 @@ def build_kb(tmp_path, fixtures_dir, alpha=0.1, beta=1.0):
     ):
         write_entry(kb, with_cost(make_entry(name, m, tags), cm))
     return kb
+
+
+def test_kb_reload_models_equal_fresh_parse(tmp_path, fixtures_dir):
+    kb = build_kb(tmp_path, fixtures_dir)
+    first, second = load_kb(kb), load_kb(kb)
+    assert first == second
+    for e in second:
+        assert e.model == parse((kb / f"{e.name}.tdid").read_bytes())
+
+
+def test_kb_reload_skips_parse_of_unchanged_files(tmp_path, fixtures_dir, monkeypatch):
+    kb = build_kb(tmp_path, fixtures_dir)
+    load_kb(kb)
+    calls = []
+
+    def counting_parse(data):
+        calls.append(data)
+        return parse(data)
+
+    monkeypatch.setattr(metareason, "parse_model", counting_parse)
+    load_kb(kb)
+    assert calls == []
+    # Same bytes again: still no parse.  Different bytes: exactly one.
+    (kb / "full.tdid").write_bytes((kb / "full.tdid").read_bytes())
+    load_kb(kb)
+    assert calls == []
+    (kb / "full.tdid").write_bytes((kb / "coarse.tdid").read_bytes())
+    load_kb(kb)
+    assert len(calls) == 1
+
+
+def test_kb_reload_sees_rewritten_model(tmp_path, fixtures_dir):
+    kb = build_kb(tmp_path, fixtures_dir)
+    before = {e.name: e.model for e in load_kb(kb)}
+    (kb / "full.tdid").write_bytes((kb / "coarse.tdid").read_bytes())
+    after = {e.name: e.model for e in load_kb(kb)}
+    assert after["full"] == before["coarse"] != before["full"]
+    assert after["coarse"] == before["coarse"]
+
+
+def test_kb_reload_of_malformed_model_fails_like_fresh_load(tmp_path, fixtures_dir):
+    kb = build_kb(tmp_path, fixtures_dir)
+    load_kb(kb)
+    lines = (kb / "full.tdid").read_text().splitlines()
+    lines[2] = "bogus"
+    (kb / "full.tdid").write_text("\n".join(lines) + "\n")
+    fresh = shutil.copytree(kb, tmp_path / "fresh")
+    with pytest.raises(MetareasonError) as reloaded:
+        load_kb(kb)
+    with pytest.raises(MetareasonError) as first:
+        load_kb(fresh)
+    assert str(reloaded.value) == str(first.value)
+    expected = "full.entry: full.tdid: line 3: unknown directive 'bogus'"
+    assert str(first.value) == expected
+
+
+def test_kb_reload_of_deleted_model(tmp_path, fixtures_dir):
+    kb = build_kb(tmp_path, fixtures_dir)
+    load_kb(kb)
+    (kb / "coarse.tdid").unlink()
+    with pytest.raises(MetareasonError, match="coarse.entry: cannot read model"):
+        load_kb(kb)
 
 
 def test_construct_pipeline(tmp_path, fixtures_dir):

@@ -127,6 +127,31 @@ def test_instantaneous_cycle_reported():
     assert any("cycle" in p for p in problems)
 
 
+def inst_chain(n: int, loop: bool) -> str:
+    """A single-slice model whose n chance variables form one chain of
+    instantaneous arcs, closed back to its start when ``loop``."""
+    lines = ["tdid 1", "master 1", "value U"]
+    lines += [f"chance V{i} : a b" for i in range(n)]
+    lines += [f"arc inst V{i} V{i + 1}" for i in range(n - 1)]
+    lines += [f"arc inst V{n - 1} U"]
+    if loop:
+        lines += [f"arc inst V{n - 1} V0", f"cpt V0 @ 1 | V{n - 1} : 0.5 0.5 , 0.5 0.5"]
+    else:
+        lines += ["cpt V0 @ 1 | : 0.5 0.5"]
+    lines += [f"cpt V{i} @ 1 | V{i - 1} : 0.9 0.1 , 0.2 0.8" for i in range(1, n)]
+    lines += [f"util U @ 1 | V{n - 1} : 1 0"]
+    return "\n".join(lines) + "\n"
+
+
+def test_deep_instantaneous_chain_within_recursion_limit():
+    assert validate(parse(inst_chain(1500, loop=False))) == []
+    problems = validate(parse(inst_chain(1500, loop=True)))
+    cycle = [p for p in problems if "cycle" in p]
+    assert len(cycle) == 1
+    assert cycle[0].startswith("instantaneous arcs form a cycle: V0 -> V1 -> ")
+    assert cycle[0].endswith(" -> V1499 -> V0")
+
+
 def test_first_index_must_match_master():
     m = CondensedTdid(
         master=(1, 2),
