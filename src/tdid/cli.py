@@ -27,7 +27,7 @@ from .metareason import (
 )
 from .model import ModelError, parse, serialize, validate
 from .solve import (
-    OracleCapError,
+    CapError,
     brute_force,
     policies_agree,
     policy_json,
@@ -241,7 +241,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OracleCapError as err:
+    except CapError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CAP
     except ModelError as err:

@@ -177,9 +177,18 @@ class CondensedTdid:
     def of_kind(self, kind: str) -> tuple[TemporalVariable, ...]:
         return tuple(v for v in self.variables if v.kind == kind)
 
+    @cached_property
+    def _arcs_by_dst(self) -> dict[str, list[Arc]]:
+        index: dict[str, list[Arc]] = {}
+        for a in self.arcs:
+            index.setdefault(a.dst, []).append(a)
+        return index
+
     def arcs_into(self, name: str, kind: str | None = None) -> tuple[Arc, ...]:
         return tuple(
-            a for a in self.arcs if a.dst == name and (kind is None or a.kind == kind)
+            a
+            for a in self._arcs_by_dst.get(name, ())
+            if kind is None or a.kind == kind
         )
 
     def table_for(
@@ -466,6 +475,7 @@ def parse(text: str | bytes) -> CondensedTdid:
     variables: list[TemporalVariable] = []
     var_lines: dict[str, int] = {}
     arcs: list[Arc] = []
+    seen_arcs: set[Arc] = set()
     raw_cpds: list[tuple[int, str, int | None, list[str], list[list[float]]]] = []
     raw_utils: list[tuple[int, str, int | None, list[str], list[float]]] = []
 
@@ -493,10 +503,11 @@ def parse(text: str | bytes) -> CondensedTdid:
             if len(toks) != 4 or toks[1] not in (INST, LAG):
                 raise ModelFormatError("expected: arc inst|lag <src> <dst>", ln)
             arc = Arc(toks[2], toks[3], toks[1])
-            if arc in arcs:
+            if arc in seen_arcs:
                 raise ModelFormatError(
                     f"duplicate arc {arc.kind} {arc.src} {arc.dst}", ln
                 )
+            seen_arcs.add(arc)
             arcs.append(arc)
         elif head == "cpt":
             name, idx, parents, rows = _parse_table(toks, ln, rows=True)

@@ -5,17 +5,23 @@ what that decision observes.  The observation sets here (informational
 parents plus earlier decisions, but not earlier chance observations) do
 not give perfect recall, so classic backward induction is not exact: an
 early decision can be worth changing purely to signal information to a
-later one.  ``solve`` therefore optimizes over whole policies at once.
+later one.
 
-It treats every policy *entry* (one observation state of one decision) as
-a free optimization variable: each decision's CPD is replaced by a
-deterministic selector factor "the decision equals the entry chosen for
-the observed state", chance nodes are summed out by variable elimination
-per utility node, and the resulting per-utility tables over entry
-variables are summed and jointly maximized.  That is exhaustive over
-deterministic policies — and a deterministic policy is always optimal,
-since expected utility is linear in each entry's randomization — so the
-result is exact.
+Every decision does observe every earlier decision, though, so policy
+entries keyed on different decision histories cover disjoint worlds, and
+
+    MEU = max_{rule 1} sum_{a1} max_{rule 2 | a1} sum_{a2} ...
+
+is exact, signaling included.  ``solve`` searches that expression in one
+forward pass over a static plan (``_Plan``): the frontier is the joint of
+the chance variables some later step reads; at a decision the search
+enumerates rules over the observed states with nonzero mass and branches
+on each option a rule uses, with the decision fixed.  Branches that share
+a decision history run as one batch: the frontier carries a leading axis
+over them, so each step is one einsum for the whole batch.  The last
+decision needs no enumeration: its utility-to-go is one backward pass,
+cached by the decision values the tail reads.  ``evaluate_policy`` runs
+the same pass with the policy's own rule as the only candidate.
 
 ``brute_force`` is an independent oracle: it enumerates every
 deterministic policy in lexicographic order and evaluates each against
@@ -25,19 +31,24 @@ index, so they return identical policies up to floating-point ties.
 
 from __future__ import annotations
 
-import functools
+import collections
 import itertools
+import math
+import operator
 import os
+import string
 from dataclasses import dataclass
 
 import numpy as np
 
 from .deploy import DeployedDid, NodeId, node_name
-from .model import DECISION, VALUE, ModelError
+from .model import VALUE, ModelError
 
 __all__ = [
     "SolveError",
+    "CapError",
     "OracleCapError",
+    "SolveCapError",
     "DecisionRule",
     "Policy",
     "solve",
@@ -46,19 +57,43 @@ __all__ = [
     "policies_agree",
     "policy_json",
     "ORACLE_CAP_DEFAULT",
+    "FRONTIER_CAP",
+    "SEARCH_CAP",
     "oracle_cap",
     "policy_space_size",
 ]
 
 ORACLE_CAP_DEFAULT = 10**6
+# The solver refuses, before allocating, a diagram whose largest batch of
+# frontiers (the cells one step's einsum loops over) or whose bound on
+# search branches exceeds these.  Cardiac at T=8 needs 69,984 cells (2,187
+# frontiers of 32) and 335,922 branches, about 2 s on a 2-vCPU VM; its
+# 2,015,538 branches at T=9 are refused.
+FRONTIER_CAP = 2**22
+SEARCH_CAP = 10**6
+_LETTERS = string.ascii_letters  # einsum's subscript alphabet
+# Expected utilities within this relative distance of the best are tied
+# with it, so ties break toward the lowest option (or the lexicographically
+# first rule) whatever the summation order.
+_TIE = 1e-12
+# The search carries a batch of frontiers; this names their leading axis.
+_ROW = ("rows",)
 
 
 class SolveError(ModelError):
     """The diagram cannot be solved as posed."""
 
 
-class OracleCapError(SolveError):
+class CapError(SolveError):
+    """A resource cap refuses the work before it starts."""
+
+
+class OracleCapError(CapError):
     """The brute-force policy space exceeds the configured cap."""
+
+
+class SolveCapError(CapError):
+    """The solver's frontier or search bound exceeds its cap."""
 
 
 @dataclass(frozen=True)
@@ -124,38 +159,6 @@ def _multiply(a: Factor, b: Factor) -> Factor:
     return Factor(scope, a.align(scope) * b.align(scope))
 
 
-def _sum_out(f: Factor, var) -> Factor:
-    ax = f.scope.index(var)
-    return Factor(f.scope[:ax] + f.scope[ax + 1 :], f.table.sum(axis=ax))
-
-
-def _eliminate(factors: list[Factor], elim: list, domains) -> Factor:
-    """Sum the given variables out of the factor product; greedy order."""
-    factors = list(factors)
-    remaining = list(elim)
-    while remaining:
-
-        def cost(v):
-            scope = set()
-            for f in factors:
-                if v in f.scope:
-                    scope.update(f.scope)
-            size = 1
-            for u in scope:
-                size *= domains[u]
-            return size
-
-        var = min(remaining, key=lambda v: (cost(v), v))
-        remaining.remove(var)
-        touching = [f for f in factors if var in f.scope]
-        factors = [f for f in factors if var not in f.scope]
-        if touching:
-            factors.append(_sum_out(functools.reduce(_multiply, touching), var))
-    if not factors:
-        return Factor((), np.float64(1.0))
-    return functools.reduce(_multiply, factors)
-
-
 # ---------------------------------------------------------------------------
 # Shared structure
 
@@ -172,37 +175,40 @@ def _check_solvable(did: DeployedDid) -> None:
     for d in did.decision_order:
         if d not in preds:
             raise SolveError(f"decision order names unknown node {node_name(d)}")
-    seen: set[NodeId] = set()
-    pending = dict(preds)
-    while pending:
-        ready = [n for n, ps in pending.items() if ps <= seen]
-        if not ready:
-            raise SolveError(
-                "information structure is not solvable: no consistent "
-                "ordering places every observation before its decision"
-            )
-        for n in ready:
-            seen.add(n)
-            del pending[n]
+    waiting = {n: len(ps) for n, ps in preds.items()}
+    children: dict[NodeId, list[NodeId]] = {}
+    for n, ps in preds.items():
+        for p in ps:
+            children.setdefault(p, []).append(n)
+    ready = [n for n, w in waiting.items() if not w]
+    done = 0
+    while ready:
+        done += 1
+        for c in children.get(ready.pop(), ()):
+            waiting[c] -= 1
+            if not waiting[c]:
+                ready.append(c)
+    if done < len(preds):
+        raise SolveError(
+            "information structure is not solvable: no consistent "
+            "ordering places every observation before its decision"
+        )
 
 
 def _domains(did: DeployedDid) -> dict[NodeId, int]:
     return {n.id: len(n.states) for n in did.nodes if n.kind != VALUE}
 
 
-def _entry_vars(did: DeployedDid, d: NodeId) -> list:
-    obs = did.info_by_decision[d]
-    n_states = 1
-    for o in obs:
-        n_states *= len(did.states(o))
-    return [("entry", d[0], d[1], k) for k in range(n_states)]
+def _entry_count(did: DeployedDid, d: NodeId) -> int:
+    """Entries of the decision's rule: joint states of what it observes."""
+    return math.prod(len(did.states(o)) for o in did.info_by_decision[d])
 
 
 def policy_space_size(did: DeployedDid) -> int:
     """Number of deterministic policies of the diagram."""
     total = 1
     for d in did.decision_order:
-        total *= len(did.states(d)) ** len(_entry_vars(did, d))
+        total *= len(did.states(d)) ** _entry_count(did, d)
     return total
 
 
@@ -211,43 +217,498 @@ def oracle_cap() -> int:
     return int(raw) if raw else ORACLE_CAP_DEFAULT
 
 
-def _selector(did: DeployedDid, d: NodeId) -> Factor:
-    """Deterministic factor: decision value = entry chosen for the observed
-    state.  Scope: observations, the decision, then one entry variable per
-    observation state."""
-    obs = did.info_by_decision[d]
-    entries = _entry_vars(did, d)
-    k = len(did.states(d))
-    obs_shape = tuple(len(did.states(o)) for o in obs)
-    m = len(entries)
-    table = np.zeros(obs_shape + (k,) + (k,) * m)
-    for flat, widx in enumerate(np.ndindex(obs_shape)) if obs_shape else [(0, ())]:
-        for a in range(k):
-            sel = tuple(a if j == flat else slice(None) for j in range(m))
-            table[widx + (a,) + sel] = 1.0
-    return Factor(tuple(obs) + (d,) + tuple(entries), table)
-
-
-def _requisite(did: DeployedDid, roots) -> set[NodeId]:
-    """Nodes whose factors matter for the given parent set: ancestors under
-    CPD arcs, with decisions pulling in everything they observe."""
-    out: set[NodeId] = set()
-    stack = list(roots)
-    while stack:
-        n = stack.pop()
-        if n in out:
-            continue
-        out.add(n)
-        node = did.node(n)
-        if node.kind == DECISION:
-            stack.extend(did.info_by_decision[n])
-        elif node.kind != VALUE:
-            stack.extend(did.table_by_node[n].parents)
-    return out
-
-
 # ---------------------------------------------------------------------------
-# Exact solver
+# Exact solver: a search over decision histories
+
+
+def _cells(scope, domains) -> int:
+    return math.prod(domains[v] for v in scope)
+
+
+def _union(*scopes) -> tuple:
+    return tuple(dict.fromkeys(itertools.chain(*scopes)))
+
+
+def _subscripts(*scopes, out=()) -> str:
+    """``np.einsum`` subscripts for operands over the given scopes."""
+    names = _union(*scopes)
+    if len(names) > len(_LETTERS):
+        raise SolveCapError(
+            f"a solver step reads {len(names)} variables, above the cap of "
+            f"{len(_LETTERS)}"
+        )
+    letter = dict(zip(names, _LETTERS))
+    word = lambda scope: "".join(letter[v] for v in scope)  # noqa: E731
+    return ",".join(map(word, scopes)) + "->" + word(out)
+
+
+class _Table:
+    """A CPT or utility table with its decision axes first, so that fixing
+    the decisions of a history is one basic index."""
+
+    __slots__ = ("array", "picks", "scope", "_pick")
+
+    def __init__(self, flat, parents, node, dpos, domains):
+        own = (node,) if node is not None else ()
+        axes = tuple(parents) + own
+        array = np.asarray(flat, dtype=float).reshape(
+            tuple(domains[v] for v in axes)
+        )
+        front = [i for i, p in enumerate(parents) if p in dpos]
+        back = [i for i in range(len(axes)) if i not in front]
+        self.array = np.ascontiguousarray(array.transpose(front + back))
+        self.picks = tuple(dpos[parents[i]] for i in front)
+        self.scope = tuple(axes[i] for i in back)
+        self._pick = operator.itemgetter(*self.picks) if self.picks else None
+
+    def at(self, hist) -> np.ndarray:
+        return self.array[self._pick(hist)] if self._pick else self.array
+
+
+class _ChanceStep:
+    __slots__ = ("node", "table", "values", "spec")
+    decision = False
+
+
+class _DecisionStep:
+    __slots__ = (
+        "node", "j", "options", "values", "scope_in", "observed", "shape",
+        "dec_obs", "offsets", "marginal", "restrict", "to_go",
+    )
+    decision = True
+
+
+class _Plan:
+    """The static schedule of the forward pass for one diagram.
+
+    Chance and copy nodes that some value node or decision reads (directly
+    or through descendants) are placed as soon as their parents are, and
+    decisions in ``decision_order`` as late as possible.  Decisions never
+    enter the frontier, since each branch of the search fixes them, so the
+    frontier's scope at every step is known here: each chance step is one
+    ``np.einsum`` that multiplies in the node's table, sliced at the fixed
+    decisions, and sums out what no later step reads.  A value node's
+    expected utility is added at the step that places its last parent.
+    Every frontier operand has a leading axis over the batch of branches
+    that share the decision history (``_ROW``).
+
+    The constructor refuses, before allocating any table, a plan whose
+    largest frontier or whose bound on search branches exceeds the caps.
+    """
+
+    def __init__(self, did: DeployedDid, evaluating: bool = False):
+        _check_solvable(did)
+        order = did.decision_order
+        info = did.info_by_decision
+        dpos = {d: j for j, d in enumerate(order)}
+        domains = _domains(did)
+        for j, d in enumerate(order):
+            for e in set(order[:j]).difference(info[d]):
+                raise SolveError(
+                    f"{node_name(d)} does not observe the earlier decision "
+                    f"{node_name(e)}; every decision must observe all "
+                    "earlier ones"
+                )
+        # Per decision: its options, and the joint states of what it
+        # observes that the search does not fix.
+        shapes = {
+            d: (domains[d], _cells([o for o in info[d] if o not in dpos], domains))
+            for d in order
+        }
+        self.search_bound = _search_bound([shapes[d] for d in order], evaluating)
+        if self.search_bound > SEARCH_CAP:
+            raise SolveCapError(
+                f"the search bound reaches {self.search_bound} branches, above "
+                f"the cap of {SEARCH_CAP}"
+            )
+        tables = did.table_by_node
+        needed: set[NodeId] = set()
+        stack = [p for u in did.utilities for p in u.parents]
+        stack += [o for d in order for o in info[d]]
+        while stack:
+            n = stack.pop()
+            if n in dpos or n in needed:
+                continue
+            if n not in tables:
+                raise SolveError(f"{node_name(n)} is read but has no distribution")
+            needed.add(n)
+            stack.extend(tables[n].parents)
+        sequence = self._place(did, needed, dpos)
+        pos = {n: s for s, n in enumerate(sequence)}
+
+        # The step each value node is scored at, and the last step reading
+        # each chance variable.
+        scored: dict[int, list] = {}
+        last = {n: s for n, s in pos.items() if n not in dpos}
+        for u in did.utilities:
+            s = max((pos[p] for p in u.parents), default=-1)
+            scored.setdefault(s, []).append(u)
+            for p in u.parents:
+                if p in last:
+                    last[p] = max(last[p], s)
+        for n in needed:
+            for p in tables[n].parents:
+                if p in last:
+                    last[p] = max(last[p], pos[n])
+        for d in order:
+            for o in info[d]:
+                if o in last:
+                    last[o] = max(last[o], pos[d])
+
+        # Scopes, then the caps, then the tables.  One batch of the search
+        # holds the frontiers that share a decision history: per earlier
+        # decision but the last, at most one per nonempty set of its observed
+        # states (just one when evaluating).  The tail after the last
+        # decision runs unbatched.
+        scopes = []
+        cells = []
+        scope: tuple = ()
+        rows = 1
+        for s, n in enumerate(sequence):
+            scopes.append(scope)
+            if n in dpos:
+                cells.append(rows * _cells(scope, domains))
+                k, m = shapes[n]
+                if n == order[-1]:
+                    rows = 1
+                elif k > 1 and not evaluating:
+                    rows *= 2 ** min(m, 64) - 1
+                continue
+            chance = [p for p in tables[n].parents if p not in dpos]
+            joint = _union(scope, chance, (n,))
+            cells.append(rows * _cells(joint, domains))
+            scope = tuple(v for v in joint if last[v] > s)
+        self.frontier_cells = max(cells, default=1)
+        if self.frontier_cells > FRONTIER_CAP:
+            raise SolveCapError(
+                f"solving holds {self.frontier_cells} frontier cells at once, "
+                f"above the cap of {FRONTIER_CAP}"
+            )
+
+        def values_at(s, *scopes_in):
+            out = []
+            for u in scored.get(s, ()):
+                t = _Table(u.values, u.parents, None, dpos, domains)
+                out.append((t, _subscripts(*scopes_in, t.scope, out=_ROW)))
+            return out
+
+        self.const = sum(float(u.values[0]) for u in scored.get(-1, ()))
+        self.steps: list = []
+        for s, n in enumerate(sequence):
+            f = scopes[s]
+            if n in dpos:
+                self.steps.append(self._decision(did, n, dpos, domains, f))
+                self.steps[-1].values = values_at(s, _ROW + f)
+                continue
+            step = _ChanceStep()
+            step.node = n
+            t = tables[n]
+            step.table = _Table(t.rows, t.parents, n, dpos, domains)
+            step.values = values_at(s, _ROW + f, step.table.scope)
+            out = scopes[s + 1] if s + 1 < len(sequence) else ()
+            step.spec = _subscripts(_ROW + f, step.table.scope, out=_ROW + out)
+            self.steps.append(step)
+        self.last = pos[order[-1]] if order else len(sequence)
+        self.to_go: dict = {}
+        if order:
+            self._plan_to_go()
+
+    @staticmethod
+    def _place(did, needed, dpos) -> list[NodeId]:
+        """Placement order: ready chance nodes first, then the next decision."""
+        tables = did.table_by_node
+        waiting: dict[NodeId, int] = {}
+        children: dict[NodeId, list[NodeId]] = {}
+        for n in did.nodes:
+            if n.id in needed:
+                parents = set(tables[n.id].parents)
+                waiting[n.id] = len(parents)
+                for p in parents:
+                    children.setdefault(p, []).append(n.id)
+        ready = collections.deque(n for n, w in waiting.items() if w == 0)
+        sequence: list[NodeId] = []
+        placed: set[NodeId] = set()
+
+        def place(n):
+            sequence.append(n)
+            placed.add(n)
+            for c in children.get(n, ()):
+                waiting[c] -= 1
+                if not waiting[c]:
+                    ready.append(c)
+
+        for d in did.decision_order:
+            while ready:
+                place(ready.popleft())
+            if not placed.issuperset(did.info_by_decision[d]):
+                break
+            place(d)
+        while ready:
+            place(ready.popleft())
+        if len(sequence) < len(needed) + len(dpos):
+            raise SolveError(
+                "information structure is not solvable: the decision order "
+                "places an observation after its decision"
+            )
+        return sequence
+
+    @staticmethod
+    def _decision(did, d, dpos, domains, scope) -> _DecisionStep:
+        step = _DecisionStep()
+        step.node = d
+        step.j = dpos[d]
+        step.options = domains[d]
+        step.scope_in = scope
+        obs = did.info_by_decision[d]
+        strides = [math.prod(domains[o] for o in obs[i + 1 :]) for i in range(len(obs))]
+        step.dec_obs = tuple(
+            (dpos[o], st) for o, st in zip(obs, strides) if o in dpos
+        )
+        observed = tuple(o for o in obs if o not in dpos)
+        step.observed = observed
+        step.shape = tuple(domains[o] for o in observed)
+        # Each observed state (in C order over ``observed``) offsets the
+        # entry index by its digits times their strides.
+        offsets = np.zeros(1, dtype=np.int64)
+        for o, st in zip(obs, strides):
+            if o not in dpos:
+                offsets = (offsets[:, None] + np.arange(domains[o]) * st).reshape(-1)
+        step.offsets = offsets.tolist()
+        step.marginal = _subscripts(_ROW + scope, out=_ROW + observed)
+        step.restrict = _subscripts(_ROW + scope, _ROW + observed, out=_ROW + scope)
+        return step
+
+    def _plan_to_go(self) -> None:
+        """The backward pass from the end to the last decision.  Its scopes
+        lie inside the forward frontiers, so the frontier cap covers it."""
+        scope: tuple = ()
+        tail = []
+        reads: set[int] = set()
+        for step in reversed(self.steps[self.last :]):
+            terms = [scope] + [t.scope for t, _ in step.values]
+            joint = _union(*terms)
+            reads.update(j for t, _ in step.values for j in t.picks)
+            if not step.decision:
+                reads.update(step.table.picks)
+                out = tuple(
+                    v for v in _union(step.table.scope, joint) if v != step.node
+                )
+                spec = _subscripts(step.table.scope, joint, out=out)
+                scope = out
+            else:
+                spec, scope = None, joint
+            tail.append((step, terms, joint, spec))
+        decision = self.steps[self.last]
+        self.tail = tail
+        self.to_go_reads = tuple(sorted(reads - {decision.j}))
+        # The utility-to-go carries the last decision's options as its
+        # first axis; the decision's own node id names that axis.
+        decision.to_go = _subscripts(
+            _ROW + decision.scope_in,
+            (decision.node,) + scope,
+            out=_ROW + (decision.node,) + decision.observed,
+        )
+
+    # -- the pass --------------------------------------------------------
+
+    def run(self, rules=None) -> tuple[float, list]:
+        """Expected utility and the chosen entries.
+
+        With ``rules`` None, the best policy's; otherwise that of the given
+        rules (one choices tuple per decision, in decision order).  Entries
+        come as (decision position, entry, option) triples.
+        """
+        eu, trees = self._forward(0, np.ones(1), (), rules)
+        chosen: list = []
+        stack = trees
+        while stack:
+            node = stack.pop()
+            if node is not None:
+                j, entries, choices, kids = node
+                chosen.extend((j, e, c) for e, c in zip(entries, choices))
+                stack.extend(kids)
+        return self.const + float(eu[0]), chosen
+
+    def _forward(self, s, f, hist, rules):
+        """Expected utility from step ``s`` on, and the chosen entries, for
+        each row of ``f``: frontiers that share the decision history."""
+        eu = np.zeros(len(f))
+        steps = self.steps
+        while s < self.last:
+            step = steps[s]
+            if step.decision:
+                v, trees = self._decide(s, step, f, hist, rules)
+                return eu + v, trees
+            table = step.table.at(hist)
+            for u, spec in step.values:
+                eu += np.einsum(spec, f, table, u.at(hist))
+            f = np.einsum(step.spec, f, table)
+            s += 1
+        if s == len(steps):
+            return eu, [None] * len(f)
+        v, trees = self._last_decision(steps[s], f, hist, rules)
+        return eu + v, trees
+
+    def _decide(self, s, step, f, hist, rules):
+        """Per row, enumerate rules over the observed states with nonzero
+        mass and branch on each option a rule uses; keep the first rule
+        within _TIE of the best.  The branches of every row that take one
+        option share the extended history, so they run on as one batch."""
+        base = sum(hist[j] * st for j, st in step.dec_obs)
+        mass = np.einsum(step.marginal, f).reshape(len(f), -1) > 0
+        groups: dict[tuple, list[int]] = {}  # live states -> rows
+        for z, nonzero in enumerate(mass.tolist()):
+            live = tuple(o for o, m in enumerate(nonzero) if m)
+            groups.setdefault(live, []).append(z)
+        # Rows with the same live states share their candidates.  Per option,
+        # each row's branches are the distinct state sets the candidates
+        # give that option: a block of ``len(sets[a])`` items at ``start[a]
+        # + r * len(sets[a])`` in the option's batch for the group's r-th row.
+        items: list[list] = [[] for _ in range(step.options)]
+        layout = []
+        for live, zs in groups.items():
+            candidates = self._candidates(step, live, base, rules)
+            pairs = [pair for _, br in candidates for pair in br]
+            sets = [
+                list(dict.fromkeys(sel for b, sel in pairs if b == a))
+                for a in range(step.options)
+            ]
+            start = [len(items[a]) for a in range(step.options)]
+            for a in range(step.options):
+                items[a].extend((z, sel) for z in zs for sel in sets[a])
+            layout.append((live, zs, candidates, sets, start))
+        done = [
+            self._branch(s, step, f, hist + (a,), batch, rules) if batch else None
+            for a, batch in enumerate(items)
+        ]
+        eu = np.empty(len(f))
+        trees: list = [None] * len(f)
+        for live, zs, candidates, sets, start in layout:
+            at = [{sel: i for i, sel in enumerate(sels)} for sels in sets]
+            blocks = [
+                done[a][0][start[a] : start[a] + len(zs) * len(sels)].reshape(
+                    len(zs), -1
+                )
+                if sels
+                else None
+                for a, sels in enumerate(sets)
+            ]
+            totals = np.stack(
+                [
+                    sum((blocks[a][:, at[a][sel]] for a, sel in br), np.zeros(len(zs)))
+                    for _, br in candidates
+                ],
+                axis=1,
+            )
+            top = totals.max(axis=1, keepdims=True)
+            best = (totals >= top - _TIE * abs(top)).argmax(axis=1)
+            eu[zs] = totals[np.arange(len(zs)), best]
+            entries = [base + step.offsets[o] for o in live]
+            for r, (z, c) in enumerate(zip(zs, best.tolist())):
+                cand, br = candidates[c]
+                kids = [
+                    done[a][1][start[a] + r * len(sets[a]) + at[a][sel]]
+                    for a, sel in br
+                ]
+                trees[z] = (step.j, entries, cand, kids)
+        return eu, trees
+
+    @staticmethod
+    def _candidates(step, live, base, rules) -> list:
+        """The candidate rules over the live states, in lexicographic order,
+        each with the (option, states taking it) branches it uses."""
+        if rules is None:
+            candidates = itertools.product(range(step.options), repeat=len(live))
+        else:
+            rule = rules[step.j]
+            candidates = [tuple(rule[base + step.offsets[o]] for o in live)]
+        return [
+            (
+                cand,
+                [
+                    (a, tuple(o for o, c in zip(live, cand) if c == a))
+                    for a in sorted(set(cand))
+                ],
+            )
+            for cand in candidates
+        ]
+
+    def _branch(self, s, step, f, hist, items, rules):
+        """For each (row, states) item, the row's worlds where the decision
+        (now last in ``hist``) observes one of the states, scored from here
+        on: values and chosen entries per item."""
+        mask = np.zeros((len(items), len(step.offsets)))
+        mask[
+            [i for i, (_, sel) in enumerate(items) for _ in sel],
+            [o for _, sel in items for o in sel],
+        ] = 1.0
+        f = np.einsum(
+            step.restrict,
+            f[[z for z, _ in items]],
+            mask.reshape((len(items),) + step.shape),
+        )
+        eu = np.zeros(len(items))
+        for u, spec in step.values:
+            eu += np.einsum(spec, f, u.at(hist))
+        rest, trees = self._forward(s + 1, f, hist, rules)
+        return eu + rest, trees
+
+    def _last_decision(self, step, f, hist, rules):
+        """Best option per row and observed state from the cached
+        utility-to-go."""
+        base = sum(hist[j] * st for j, st in step.dec_obs)
+        table = np.einsum(step.to_go, f, self._utility_to_go(step, hist))
+        table = table.reshape(len(f), step.options, -1)
+        if rules is None:  # the lowest option within _TIE of the best
+            top = table.max(axis=1, keepdims=True)
+            choice = (table >= top - _TIE * abs(top)).argmax(axis=1)
+        else:
+            rule = rules[step.j]
+            choice = np.array([[rule[base + o] for o in step.offsets]] * len(f))
+        eu = np.take_along_axis(table, choice[:, None, :], axis=1).sum(axis=(1, 2))
+        entries = [base + o for o in step.offsets]
+        return eu, [(step.j, entries, row, ()) for row in choice.tolist()]
+
+    def _utility_to_go(self, decision, hist) -> np.ndarray:
+        """Expected utility from the last decision on, per option, over
+        that decision's frontier."""
+        key = tuple(hist[j] for j in self.to_go_reads)
+        stacked = self.to_go.get(key)
+        if stacked is None:
+            per_option = []
+            for a in range(decision.options):
+                h = hist + (a,)
+                g = np.zeros(())
+                for step, terms, joint, spec in self.tail:
+                    parts = [g] + [u.at(h) for u, _ in step.values]
+                    g = sum(Factor(sc, p).align(joint) for sc, p in zip(terms, parts))
+                    if spec is not None:
+                        g = np.einsum(spec, step.table.at(h), g)
+                per_option.append(g)
+            stacked = self.to_go[key] = np.stack(per_option)
+        return stacked
+
+
+def _search_bound(decisions, evaluating: bool) -> int:
+    """Upper bound on the branches the search visits below decisions other
+    than the last, or a partial sum once that exceeds SEARCH_CAP.  Each
+    (options k, observed states m) pair is a decision in order.  Solving,
+    a decision enumerates k^m rules and branches on the options each uses:
+    k·(k^m − (k−1)^m) branches in all; evaluating, one rule uses at most
+    min(k, m) options."""
+    total, width = 0, 1
+    for k, m in decisions[:-1]:
+        if evaluating:
+            branches = min(k, m)
+        elif m * k.bit_length() > 128:
+            return SEARCH_CAP + 1
+        else:
+            branches = k * (k**m - (k - 1) ** m)
+        width *= branches
+        total += width
+        if total > SEARCH_CAP:
+            return total
+    return total
 
 
 def solve(did: DeployedDid) -> Policy:
@@ -256,72 +717,27 @@ def solve(did: DeployedDid) -> Policy:
     Exact for the module's information structure; ties between options
     break toward the lowest option index for every entry.
     """
-    _check_solvable(did)
-    domains = _domains(did)
-    entry_domain: dict = {}
-    entry_order: list = []
-    for d in did.decision_order:
-        k = len(did.states(d))
-        for e in _entry_vars(did, d):
-            entry_domain[e] = k
-            entry_order.append(e)
-    all_domains = domains | entry_domain
-
-    parts: list[Factor] = []
-    for u in did.utilities:
-        req = _requisite(did, u.parents)
-        factors = [
-            Factor(
-                t.parents + (t.node,),
-                np.asarray(t.rows).reshape(
-                    tuple(domains[p] for p in t.parents) + (domains[t.node],)
-                ),
-            )
-            for t in did.tables
-            if t.node in req
-        ]
-        for d in did.decision_order:
-            if d in req:
-                factors.append(_selector(did, d))
-        factors.append(
-            Factor(
-                u.parents,
-                np.asarray(u.values).reshape(tuple(domains[p] for p in u.parents)),
-            )
-        )
-        elim = sorted(req)
-        parts.append(_eliminate(factors, elim, all_domains))
-
-    scope = [e for e in entry_order if any(e in p.scope for p in parts)]
-    shape = tuple(entry_domain[e] for e in scope)
-    total = np.zeros(shape)
-    for p in parts:
-        total = total + p.align(scope)
-
-    flat_best = int(np.argmax(total.reshape(-1)))  # first max = lexicographic min
-    meu = float(total.reshape(-1)[flat_best])
-    best = np.unravel_index(flat_best, shape) if shape else ()
-    chosen = dict(zip(scope, best))
-
-    rules = []
-    for d in did.decision_order:
-        entries = _entry_vars(did, d)
-        rules.append(
-            DecisionRule(
-                d,
-                did.info_by_decision[d],
-                tuple(int(chosen.get(e, 0)) for e in entries),
-            )
-        )
-    return Policy(tuple(rules), meu)
+    meu, chosen = _Plan(did).run()
+    order = did.decision_order
+    tables = [[0] * _entry_count(did, d) for d in order]  # unreached: option 0
+    for j, e, c in chosen:
+        tables[j][e] = c
+    return Policy(
+        tuple(
+            DecisionRule(d, did.info_by_decision[d], t)
+            for d, t in zip(order, tables)
+        ),
+        meu,
+    )
 
 
 # ---------------------------------------------------------------------------
-# Oracle and policy evaluation (dense joint)
+# Policy evaluation, and the oracle's dense joint
 
 
 class _Dense:
-    """All non-value nodes as axes of one dense array."""
+    """All non-value nodes as axes of one dense array: the oracle's own
+    evaluator, independent of the solver's plan."""
 
     def __init__(self, did: DeployedDid):
         _check_solvable(did)
@@ -402,7 +818,8 @@ def _check_policy(did: DeployedDid, policy: Policy) -> None:
 def evaluate_policy(did: DeployedDid, policy: Policy) -> float:
     """Expected total utility of following the fixed policy."""
     _check_policy(did, policy)
-    return _Dense(did).expected_utility(policy.rules)
+    plan = _Plan(did, evaluating=True)
+    return plan.run(tuple(policy.rule(d).choices for d in did.decision_order))[0]
 
 
 def brute_force(did: DeployedDid) -> Policy:
@@ -422,7 +839,7 @@ def brute_force(did: DeployedDid) -> Policy:
     per_entry: list[range] = []
     layout: list[tuple[NodeId, int]] = []  # (decision, n_entries)
     for d in did.decision_order:
-        m = len(_entry_vars(did, d))
+        m = _entry_count(did, d)
         k = len(did.states(d))
         layout.append((d, m))
         per_entry.extend([range(k)] * m)

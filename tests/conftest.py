@@ -5,6 +5,13 @@ import pytest
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
+def cardiac_text(horizon: int) -> str:
+    """fixtures/cardiac.tdid with its master sequence set to 1..horizon."""
+    text = (FIXTURES / "cardiac.tdid").read_text()
+    master = "master " + " ".join(str(t) for t in range(1, horizon + 1))
+    return text.replace("master 1 2 3", master)
+
+
 @pytest.fixture
 def fixtures_dir() -> pathlib.Path:
     return FIXTURES

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES
+from conftest import FIXTURES, cardiac_text
 from tdid.cli import main
 from tdid.metareason import CostModel, make_entry, with_cost, write_entry
 from tdid.model import parse, serialize
@@ -184,6 +184,40 @@ def test_solve_oracle_mismatch_exit(capsys, one_decision, monkeypatch):
     monkeypatch.setattr("tdid.cli.policies_agree", lambda *a, **k: False)
     code, _, err = run(capsys, "solve", one_decision, "--oracle")
     assert code == 3 and "oracle mismatch" in err
+
+
+def cardiac_file(tmp_path, horizon):
+    path = tmp_path / f"cardiac-{horizon}.tdid"
+    path.write_text(cardiac_text(horizon))
+    return path
+
+
+def test_solve_cardiac_beyond_three_slices(capsys, tmp_path):
+    code, out, err = run(capsys, "solve", cardiac_file(tmp_path, 4))
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert [d["node"] for d in report["decisions"]] == [
+        "treat@1", "treat@2", "treat@3", "treat@4"
+    ]
+    assert len(report["decisions"][3]["table"]) == 16
+
+
+def test_solve_oracle_cap_beyond_three_slices(capsys, tmp_path):
+    # The solver handles T=4; the brute-force oracle refuses its 2^30
+    # policies before allocating anything.
+    path = cardiac_file(tmp_path, 4)
+    code, out, err = run(capsys, "solve", path, "--oracle")
+    assert code == 4 and out == ""
+    assert one_error_line(err)
+    assert "policy space has 1073741824 policies, above the cap" in err
+
+
+def test_solve_search_cap(capsys, tmp_path):
+    path = cardiac_file(tmp_path, 9)
+    code, out, err = run(capsys, "solve", path)
+    assert code == 4 and out == ""
+    assert one_error_line(err)
+    assert "branches, above the cap" in err
 
 
 # ---------------------------------------------------------------------------
@@ -524,8 +558,8 @@ def mutate(toks, mutations):
     return "".join(tok if tok == "\n" else tok + " " for tok in toks)
 
 
-# ``solve`` is left out until it refuses oversized models before allocating:
-# a mutation that widens a model can make it ask for more memory than exists.
+# ``solve`` has a fuzz test of its own (``test_solve_cli_fuzz``, below), so
+# that its exit-4 preflight refusals are checked apart from these commands.
 MODEL_COMMANDS = st.sampled_from(FUZZ_POOL).flatmap(
     lambda var: st.sampled_from(
         [
@@ -555,5 +589,24 @@ def test_model_cli_fuzz(tmp_path, source, mutations, command):
     path = tmp_path / "fuzz.tdid"
     path.write_text(mutate(FUZZ_SOURCES[source], mutations))
     code, err = run_quiet([command[0], str(path), *command[1:]])
+    assert code in (0, 1, 2, 3, 4)
+    assert "Traceback" not in err
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    source=st.sampled_from(sorted(FUZZ_SOURCES)),
+    mutations=st.lists(MUTATION, min_size=1, max_size=4),
+)
+def test_solve_cli_fuzz(tmp_path, source, mutations):
+    # A mutation that widens a model meets the solver preflight (exit 4)
+    # before anything is allocated: never a MemoryError traceback.
+    path = tmp_path / "fuzz.tdid"
+    path.write_text(mutate(FUZZ_SOURCES[source], mutations))
+    code, err = run_quiet(["solve", str(path)])
     assert code in (0, 1, 2, 3, 4)
     assert "Traceback" not in err

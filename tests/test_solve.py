@@ -7,12 +7,18 @@ import numpy as np
 import pytest
 
 from tdid.model import parse, serialize
+from tdid.abstraction import retime
 from tdid.deploy import collapse_copies, deploy, eliminate_barren
 from tdid.solve import (
+    FRONTIER_CAP,
+    SEARCH_CAP,
     DecisionRule,
     OracleCapError,
     Policy,
+    SolveCapError,
     SolveError,
+    _Dense,
+    _Plan,
     brute_force,
     evaluate_policy,
     policies_agree,
@@ -21,6 +27,7 @@ from tdid.solve import (
     solve,
 )
 
+from conftest import cardiac_text
 from gen import corpus, random_model
 
 ONE_DECISION = """
@@ -352,3 +359,158 @@ def test_policy_json_shape_and_stability():
     assert list(data) == ["meu", "decisions"]
     assert data["meu"] == pytest.approx(7.0)
     assert data["decisions"] == [{"node": "D@1", "parents": [], "table": ["a"]}]
+
+
+# --- beyond the old horizon ---------------------------------------------------
+
+
+def cardiac(horizon):
+    return parse(cardiac_text(horizon))
+
+
+def test_cardiac_fixture_choices_pinned(fixtures_dir):
+    # The choices the entry-variable solver printed for this fixture; they
+    # pin lowest-index tie-breaking across the change of solver.
+    did = deploy(parse((fixtures_dir / "cardiac.tdid").read_bytes()))
+    p = solve(did)
+    assert [r.choices for r in p.rules] == [
+        (0, 1),
+        (0, 0, 1, 1),
+        (0, 0, 0, 0, 1, 1, 1, 1),
+    ]
+    assert p.meu == pytest.approx(29.53498332870859, abs=1e-9)
+
+
+@pytest.mark.parametrize("horizon", [4, 5])
+def test_cardiac_solve_and_evaluate_agree(horizon):
+    did = deploy(cardiac(horizon))
+    p = solve(did)
+    assert len(p.rules) == horizon
+    assert evaluate_policy(did, p) == pytest.approx(p.meu, abs=1e-9)
+    # Every other single-entry change of the last rule does no better.
+    last = p.rules[-1]
+    for k in range(len(last.choices)):
+        flipped = last.choices[:k] + (1 - last.choices[k],) + last.choices[k + 1 :]
+        other = Policy(
+            p.rules[:-1] + (DecisionRule(last.node, last.observations, flipped),), 0.0
+        )
+        assert evaluate_policy(did, other) <= p.meu + 1e-9
+
+
+def test_evaluate_policy_kb_sized_variant():
+    # Cardiac at T=6 with treat at 1, 3, 5 (the largest knowledge-base
+    # variant of the benchmark): a dense joint over its 30 binary nodes
+    # would take 8 GiB.
+    m = retime(cardiac(6), "treat", (1, 3, 5))
+    did = deploy(m)
+    assert sum(1 for n in did.nodes if n.kind != "value") == 30
+    p = solve(did)
+    assert evaluate_policy(did, p) == pytest.approx(p.meu, abs=1e-9)
+
+
+def test_evaluate_policy_matches_dense_joint_on_random_policies():
+    rng = np.random.default_rng(29)
+    for m, did in corpus(40, seed=31):
+        dense = _Dense(did)
+        for _ in range(3):
+            rules = tuple(
+                DecisionRule(
+                    r.node,
+                    r.observations,
+                    rng.integers(0, len(did.states(r.node)), len(r.choices)),
+                )
+                for r in solve(did).rules
+            )
+            want = dense.expected_utility(rules)
+            got = evaluate_policy(did, Policy(rules, 0.0))
+            assert got == pytest.approx(want, abs=1e-9), serialize(m)
+
+
+def test_preflight_admits_cardiac_through_eight_slices():
+    plan = _Plan(deploy(cardiac(8)))
+    assert plan.frontier_cells == 3**7 * 32 <= FRONTIER_CAP  # 2,187 rows of 32
+    assert plan.search_bound == 335922 <= SEARCH_CAP
+    with pytest.raises(SolveCapError, match="reaches 2015538 branches, above the cap"):
+        solve(deploy(cardiac(9)))
+
+
+def test_preflight_refuses_a_wide_frontier():
+    # One decision observing 23 binary chance nodes: its frontier has 2^23
+    # cells, refused before any table is built.
+    names = [f"C{k}" for k in range(23)]
+    text = "\n".join(
+        ["tdid 1", "master 1", "decision D : a b", "value U"]
+        + [f"chance {c} : s f" for c in names]
+        + [f"arc inst {c} D" for c in names]
+        + ["arc inst D U"]
+        + [f"cpt {c} @ 1 | : 0.5 0.5" for c in names]
+        + ["util U @ 1 | D : 1 0", ""]
+    )
+    did = deploy(parse(text))
+    with pytest.raises(SolveCapError, match="holds 8388608 frontier cells"):
+        solve(did)
+
+
+def test_decision_must_observe_earlier_decisions():
+    did = deploy(
+        parse(
+            """
+            tdid 1
+            master 1
+            decision D1 : a b
+            decision D2 : a b
+            value U
+            arc inst D1 D2
+            arc inst D1 U
+            arc inst D2 U
+            util U @ 1 | D1 D2 : 0 1 2 3
+            """
+        )
+    )
+    blind = dataclasses.replace(did, info=((("D1", 1), ()), (("D2", 1), ())))
+    with pytest.raises(SolveError, match="does not observe the earlier decision D1@1"):
+        solve(blind)
+
+
+def test_solved_policy_achieves_its_meu_on_wide_random_models():
+    # Three or four decisions: the search batches branches of many rule
+    # candidates that share a decision history, and each history's chosen
+    # entries must come from the branch the optimum took.
+    rng = np.random.default_rng(37)
+    checked = 0
+    while checked < 150:
+        m = random_model(rng, max_deployed_nonvalue=12, max_decisions=4)
+        did = deploy(m)
+        if len(did.decision_order) < 3 or policy_space_size(did) > 2**16:
+            continue
+        p = solve(did)
+        assert evaluate_policy(did, p) == pytest.approx(p.meu, abs=1e-9), serialize(m)
+        checked += 1
+
+
+def test_only_summation_noise_counts_as_a_tie():
+    text = """
+    tdid 1
+    master 1
+    chance C : s f
+    decision D1 : a b
+    decision D2 : a b
+    value U
+    arc inst C D1
+    arc inst D1 D2
+    arc inst C U
+    arc inst D2 U
+    cpt C @ 1 | : 0.5 0.5
+    util U @ 1 | C D2 : 1 {b} 1 {b}
+    """
+    # b wins by 1e-9, far above rounding.  D1 never plays b, so that
+    # history is unreached and its entry stays at option 0.
+    did = deploy(parse(text.format(b="1.000000001")))
+    p = solve(did)
+    assert p.rule(("D1", 1)).choices == (0, 0)
+    assert p.rule(("D2", 1)).choices == (1, 0)
+    # Within rounding of each other the options tie: the lowest wins.
+    did = deploy(parse(text.format(b="1.0000000000000002")))
+    p = solve(did)
+    assert p.rule(("D2", 1)).choices == (0, 0)
+    assert p.rule(("D1", 1)).choices == (0, 0)
