@@ -45,7 +45,12 @@ def build_knowledge_base(kb_dir):
 
 
 def main():
-    kb = pathlib.Path(tempfile.mkdtemp(prefix="tdid_kb_")) / "cardiac"
+    with tempfile.TemporaryDirectory(prefix="tdid_kb_") as tmp:
+        run(pathlib.Path(tmp) / "cardiac")
+
+
+def run(kb):
+    """Build the knowledge base in ``kb``, then select under several urgencies."""
     build_knowledge_base(kb)
     print("knowledge base:", kb)
     for manifest in sorted(kb.glob("*.entry")):

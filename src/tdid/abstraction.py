@@ -15,6 +15,7 @@ valid model variants used for deliberation-time model selection.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 from .model import (
     CHANCE,
@@ -266,43 +267,44 @@ def enumerate_abstractions(model: CondensedTdid, spec: LatticeSpec) -> list[Vari
     """All valid combinations of the lattice's choices, in odometer order
     (first time line slowest, group choices fastest).  Combinations that
     fail to produce a valid model are skipped; an empty result is an error.
+
+    Each lattice line is one axis; a depth-first walk with an explicit
+    stack applies each choice once per prefix, so long lattices stay
+    within the interpreter's recursion limit.
     """
+    axes = [
+        [
+            (
+                f"time:{target}={','.join(map(str, seq))}",
+                partial(retime, target=target, seq=seq),
+            )
+            for seq in alts
+        ]
+        for target, alts in spec.times
+    ]
+    for name, members in spec.groups:
+        drop = partial(abstract_space, drop=members)
+        axes.append(
+            [(f"space:{name}={c}", _keep if c == "keep" else drop) for c in spec.choices]
+        )
     out: list[Variant] = []
-    time_axes = [(target, alts) for target, alts in spec.times]
-    group_axes = [(name, members, spec.choices) for name, members in spec.groups]
-
-    def expand(k: int, tags: tuple[str, ...], current: CondensedTdid | None):
-        if current is None:
-            return
-        if k < len(time_axes):
-            target, alts = time_axes[k]
-            for seq in alts:
-                try:
-                    nxt = retime(current, target, seq)
-                except ModelError:
-                    nxt = None
-                expand(
-                    k + 1,
-                    tags + (f"time:{target}={','.join(map(str, seq))}",),
-                    nxt,
-                )
-            return
-        g = k - len(time_axes)
-        if g < len(group_axes):
-            name, members, choices = group_axes[g]
-            for choice in choices:
-                if choice == "keep":
-                    nxt = current
-                else:
-                    try:
-                        nxt = abstract_space(current, members)
-                    except ModelError:
-                        nxt = None
-                expand(k + 1, tags + (f"space:{name}={choice}",), nxt)
-            return
-        out.append(Variant(tags, current))
-
-    expand(0, (), model)
+    stack: list[tuple[tuple[str, ...], CondensedTdid]] = [((), model)]
+    while stack:
+        tags, current = stack.pop()
+        if len(tags) == len(axes):  # one tag per axis
+            out.append(Variant(tags, current))
+            continue
+        children = []
+        for tag, step in axes[len(tags)]:
+            try:
+                children.append((tags + (tag,), step(current)))
+            except ModelError:
+                pass  # an invalid prefix has no valid completion
+        stack.extend(reversed(children))
     if not out:
         raise ModelError("no feasible abstraction: every combination is invalid")
     return out
+
+
+def _keep(model: CondensedTdid) -> CondensedTdid:
+    return model

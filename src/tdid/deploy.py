@@ -17,6 +17,7 @@ over all value nodes.  Decision nodes observe their informational parents
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
@@ -68,9 +69,6 @@ class SliceNode:
     kind: str  # chance | decision | value | copy
     states: tuple[str, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "states", tuple(self.states))
-
     @property
     def id(self) -> NodeId:
         return (self.base, self.slice)
@@ -84,13 +82,6 @@ class DeployedTable:
     parents: tuple[NodeId, ...]
     rows: tuple[tuple[float, ...], ...]  # row per joint parent state, last fastest
 
-    def __post_init__(self):
-        object.__setattr__(self, "node", tuple(self.node))
-        object.__setattr__(self, "parents", tuple(tuple(p) for p in self.parents))
-        object.__setattr__(
-            self, "rows", tuple(tuple(float(x) for x in r) for r in self.rows)
-        )
-
 
 @dataclass(frozen=True)
 class DeployedUtility:
@@ -99,11 +90,6 @@ class DeployedUtility:
     node: NodeId
     parents: tuple[NodeId, ...]
     values: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "node", tuple(self.node))
-        object.__setattr__(self, "parents", tuple(tuple(p) for p in self.parents))
-        object.__setattr__(self, "values", tuple(float(x) for x in self.values))
 
 
 @dataclass(frozen=True)
@@ -122,23 +108,6 @@ class DeployedDid:
     utilities: tuple[DeployedUtility, ...]
     decision_order: tuple[NodeId, ...]
     info: tuple[tuple[NodeId, tuple[NodeId, ...]], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "slices", tuple(self.slices))
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        object.__setattr__(
-            self, "arcs", tuple((tuple(s), tuple(d)) for s, d in self.arcs)
-        )
-        object.__setattr__(self, "tables", tuple(self.tables))
-        object.__setattr__(self, "utilities", tuple(self.utilities))
-        object.__setattr__(
-            self, "decision_order", tuple(tuple(d) for d in self.decision_order)
-        )
-        object.__setattr__(
-            self,
-            "info",
-            tuple((tuple(d), tuple(tuple(p) for p in obs)) for d, obs in self.info),
-        )
 
     @cached_property
     def _by_id(self) -> dict[NodeId, SliceNode]:
@@ -222,8 +191,8 @@ def _place(
         if role == INST:
             out.append((pname, i))
         else:
-            j = max(k for k in model.variable(pname).times if k < i)
-            out.append((pname, j))
+            times = model.variable(pname).times
+            out.append((pname, times[bisect_left(times, i) - 1]))
     return tuple(out)
 
 
@@ -423,13 +392,13 @@ def collapse_copies(did: DeployedDid) -> DeployedDid:
         if t.node in source:
             continue
         parents, arr = rewire_table(t.parents, t.rows, len(did.states(t.node)))
-        tables.append(
-            DeployedTable(t.node, parents, tuple(map(tuple, arr.reshape(-1, arr.shape[-1]))))
-        )
+        rows = arr.reshape(-1, arr.shape[-1]).tolist()
+        tables.append(DeployedTable(t.node, parents, tuple(map(tuple, rows))))
     utilities = []
     for u in did.utilities:
         parents, arr = rewire_table(u.parents, np.asarray(u.values)[..., None], 1)
-        utilities.append(DeployedUtility(u.node, parents, tuple(arr.reshape(-1))))
+        values = tuple(arr.reshape(-1).tolist())
+        utilities.append(DeployedUtility(u.node, parents, values))
 
     arcs = dict.fromkeys((resolve(s), d) for s, d in did.arcs if d not in source)
     info = tuple((d, tuple(dict.fromkeys(map(resolve, obs)))) for d, obs in did.info)

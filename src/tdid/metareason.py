@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import os
 import pathlib
-import time
 from dataclasses import dataclass, replace
 
 from ._fmt import canonical_json, fmt_float, fmt_int
@@ -70,8 +69,7 @@ class SuiteEntry:
     ``quality`` is the model's maximum expected utility, present once the
     model has been solved.  ``space_size`` counts deployed probability
     table entries (copy identities excluded); ``cost_time`` is the
-    deliberation time charged for using the model; ``measured_time`` is a
-    recorded wall-clock solve time, when one exists.
+    deliberation time charged for using the model.
     """
 
     name: str
@@ -81,12 +79,12 @@ class SuiteEntry:
     n_intervals: int
     quality: float | None = None
     tags: tuple[str, ...] = ()
-    measured_time: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "tags", tuple(self.tags))
-        if self.cost_time < 0:
-            raise MetareasonError(f"entry {self.name!r}: negative cost")
+        if not 0 <= self.cost_time < math.inf:
+            raise MetareasonError(
+                f"entry {self.name!r}: cost must be finite and nonnegative"
+            )
         if self.space_size < 1:
             raise MetareasonError(f"entry {self.name!r}: empty deployed model")
 
@@ -107,18 +105,20 @@ class UrgencyFunction:
     points: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "points", tuple((float(t), float(u)) for t, u in self.points)
-        )
         if self.kind == "linear":
-            if self.rate < 0:
-                raise MetareasonError("linear urgency needs a nonnegative rate")
+            if not 0 <= self.rate < math.inf:
+                raise MetareasonError("linear urgency needs a finite nonnegative rate")
         elif self.kind == "step":
-            if self.penalty < 0:
-                raise MetareasonError("step urgency needs a nonnegative penalty")
+            if not (math.isfinite(self.deadline) and 0 <= self.penalty < math.inf):
+                raise MetareasonError(
+                    "step urgency needs a finite deadline and a finite "
+                    "nonnegative penalty"
+                )
         elif self.kind == "tabulated":
             ts = [t for t, _ in self.points]
             us = [u for _, u in self.points]
+            if not all(map(math.isfinite, ts + us)):
+                raise MetareasonError("tabulated urgency needs finite points")
             if not self.points or ts != sorted(ts) or us != sorted(us):
                 raise MetareasonError(
                     "tabulated urgency needs points nondecreasing in t and u"
@@ -138,7 +138,9 @@ class UrgencyFunction:
 
     @staticmethod
     def tabulated(points) -> "UrgencyFunction":
-        return UrgencyFunction("tabulated", points=tuple(points))
+        return UrgencyFunction(
+            "tabulated", points=tuple((float(t), float(u)) for t, u in points)
+        )
 
     def __call__(self, t: float) -> float:
         if self.kind == "linear":
@@ -180,26 +182,18 @@ def parse_urgency(text: str) -> UrgencyFunction:
 
 @dataclass(frozen=True)
 class CostModel:
-    """How deliberation time is charged: analytic α·space + β, or measured."""
+    """How deliberation time is charged: α·space + β."""
 
     alpha: float = 0.0
     beta: float = 0.0
-    measured: bool = False
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise MetareasonError("cost parameters must be nonnegative")
+        if not (0 <= self.alpha < math.inf and 0 <= self.beta < math.inf):
+            raise MetareasonError("cost parameters must be finite and nonnegative")
 
 
 def estimate_cost(entry: SuiteEntry, cost_model: CostModel) -> float:
     """Deliberation time for the entry under the cost model."""
-    if cost_model.measured:
-        if entry.measured_time is None:
-            raise MetareasonError(
-                f"entry {entry.name!r} has no measured solve time; run a "
-                "calibration solve first"
-            )
-        return entry.measured_time
     return cost_model.alpha * entry.space_size + cost_model.beta
 
 
@@ -223,11 +217,9 @@ def make_entry(name: str, model: CondensedTdid, tags=()) -> SuiteEntry:
 
 
 def solve_entry(entry: SuiteEntry) -> tuple[SuiteEntry, Policy]:
-    """Solve the entry's model; fill in quality and the measured time."""
-    t0 = time.perf_counter()
+    """Solve the entry's model; fill in its quality."""
     policy = solve(deploy(entry.model))
-    elapsed = time.perf_counter() - t0
-    return replace(entry, quality=policy.meu, measured_time=elapsed), policy
+    return replace(entry, quality=policy.meu), policy
 
 
 def comprehensive_value(entry: SuiteEntry) -> float:
@@ -340,7 +332,6 @@ class Problem:
     tags: tuple[str, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "tags", tuple(self.tags))
         for name, x in (("t0", self.t0), ("deadline", self.deadline)):
             if x is not None and not math.isfinite(x):
                 raise MetareasonError(f"{name} must be finite, got {x!r}")

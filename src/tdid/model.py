@@ -79,10 +79,6 @@ class TemporalVariable:
     states: tuple[str, ...]
     times: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "states", tuple(self.states))
-        object.__setattr__(self, "times", tuple(self.times))
-
 
 @dataclass(frozen=True)
 class Arc:
@@ -107,14 +103,6 @@ class TabularCpd:
     parents: tuple[tuple[str, str], ...]
     table: tuple[tuple[float, ...], ...]
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "parents", tuple((str(n), str(r)) for n, r in self.parents)
-        )
-        object.__setattr__(
-            self, "table", tuple(tuple(float(x) for x in row) for row in self.table)
-        )
-
     @property
     def stationary(self) -> bool:
         return self.time_index is None
@@ -128,12 +116,6 @@ class UtilityTable:
     time_index: int | None
     parents: tuple[tuple[str, str], ...]
     values: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "parents", tuple((str(n), str(r)) for n, r in self.parents)
-        )
-        object.__setattr__(self, "values", tuple(float(x) for x in self.values))
 
     @property
     def stationary(self) -> bool:
@@ -150,16 +132,6 @@ class CondensedTdid:
     cpds: tuple[TabularCpd, ...]
     utilities: tuple[UtilityTable, ...]
     tick: tuple[float, str] | None = None  # real duration of one index step
-
-    def __post_init__(self):
-        object.__setattr__(self, "master", tuple(self.master))
-        object.__setattr__(self, "variables", tuple(self.variables))
-        object.__setattr__(self, "arcs", tuple(self.arcs))
-        object.__setattr__(self, "cpds", tuple(self.cpds))
-        object.__setattr__(self, "utilities", tuple(self.utilities))
-        if self.tick is not None:
-            d, unit = self.tick
-            object.__setattr__(self, "tick", (float(d), str(unit)))
 
     @cached_property
     def _by_name(self) -> dict[str, TemporalVariable]:
@@ -218,11 +190,12 @@ def parent_signature(
 
     Instantaneous parents come first, then time-lag parents, each in arc
     declaration order.  A lag parent is present only when the parent's
-    sequence has some index strictly before ``i``.
+    sequence has some index strictly before ``i``: its first index, since
+    callers pass models whose sequences are strictly increasing.
     """
     sig = [(a.src, INST) for a in model.arcs_into(name, INST)]
     for a in model.arcs_into(name, LAG):
-        if model.has_variable(a.src) and any(k < i for k in model.variable(a.src).times):
+        if model.has_variable(a.src) and model.variable(a.src).times[0] < i:
             sig.append((a.src, LAG))
     return tuple(sig)
 
@@ -476,8 +449,10 @@ def parse(text: str | bytes) -> CondensedTdid:
     var_lines: dict[str, int] = {}
     arcs: list[Arc] = []
     seen_arcs: set[Arc] = set()
-    raw_cpds: list[tuple[int, str, int | None, list[str], list[list[float]]]] = []
-    raw_utils: list[tuple[int, str, int | None, list[str], list[float]]] = []
+    raw_cpds: list[
+        tuple[int, str, int | None, list[str], tuple[tuple[float, ...], ...]]
+    ] = []
+    raw_utils: list[tuple[int, str, int | None, list[str], tuple[float, ...]]] = []
 
     for ln, toks in lines[1:]:
         head = toks[0]
@@ -528,7 +503,7 @@ def parse(text: str | bytes) -> CondensedTdid:
                 var_lines[v.name],
             )
 
-    model = CondensedTdid(master, variables, arcs, (), (), tick)
+    model = CondensedTdid(master, tuple(variables), tuple(arcs), (), (), tick)
 
     for a in arcs:
         for end in (a.src, a.dst):
@@ -658,8 +633,8 @@ def _parse_table(toks, ln, rows: bool):
                 table[-1].append(_float(tok, ln))
         if any(not row for row in table):
             raise ModelFormatError("empty probability row", ln)
-        return name, idx, parents, table
-    values = [_float(tok, ln) for tok in entries]
+        return name, idx, parents, tuple(map(tuple, table))
+    values = tuple(_float(tok, ln) for tok in entries)
     if not values:
         raise ModelFormatError("utility table lists no values", ln)
     return name, idx, parents, values

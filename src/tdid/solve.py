@@ -108,22 +108,11 @@ class DecisionRule:
     observations: tuple[NodeId, ...]
     choices: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "node", tuple(self.node))
-        object.__setattr__(
-            self, "observations", tuple(tuple(o) for o in self.observations)
-        )
-        object.__setattr__(self, "choices", tuple(int(c) for c in self.choices))
-
 
 @dataclass(frozen=True)
 class Policy:
     rules: tuple[DecisionRule, ...]  # in decision order
     meu: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "rules", tuple(self.rules))
-        object.__setattr__(self, "meu", float(self.meu))
 
     def rule(self, node: NodeId) -> DecisionRule:
         for r in self.rules:
@@ -724,7 +713,7 @@ def solve(did: DeployedDid) -> Policy:
         tables[j][e] = c
     return Policy(
         tuple(
-            DecisionRule(d, did.info_by_decision[d], t)
+            DecisionRule(d, did.info_by_decision[d], tuple(t))
             for d, t in zip(order, tables)
         ),
         meu,

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tdid.model import ModelError, ModelFormatError, parse, serialize
+from conftest import FIXTURES
+from test_cli import mutate, tokens
+from tdid.model import ModelError, ModelFormatError, parse, serialize, validate
 from tdid.deploy import COPY, deploy
 from tdid.abstraction import (
     DependencyError,
@@ -225,3 +229,42 @@ def test_enumerate_all_invalid_is_error(cardiac):
     spec = LatticeSpec(times=(("cr", ((2, 3),)),), groups=())
     with pytest.raises(ModelError, match="no feasible abstraction"):
         enumerate_abstractions(cardiac, spec)
+
+
+def test_enumerate_long_lattice_within_recursion_limit(cardiac):
+    text = "space-choices : keep\n" + "".join(f"space g{k} : poa\n" for k in range(1200))
+    variants = enumerate_abstractions(cardiac, parse_lattice(text))
+    assert len(variants) == 1
+    assert variants[0].tags == tuple(f"space:g{k}=keep" for k in range(1200))
+    assert variants[0].model == cardiac
+
+
+FUZZ_MODEL = parse((FIXTURES / "cardiac.tdid").read_bytes())
+FUZZ_LATTICE = tokens((FIXTURES / "cardiac.lattice").read_text())
+FUZZ_LATTICE_POOL = sorted(
+    {*FUZZ_LATTICE, *(v.name for v in FUZZ_MODEL.variables)}
+    | {"time", "space", "space-choices", "all", "keep", "drop", "|", ":", "0", "4", "x"}
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    mutations=st.lists(
+        st.tuples(
+            st.sampled_from(["delete", "duplicate", "replace"]),
+            st.integers(min_value=0),
+            st.sampled_from(FUZZ_LATTICE_POOL),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_lattice_fuzz(mutations):
+    # Only ModelError subclasses may escape parsing or enumeration.
+    try:
+        variants = enumerate_abstractions(
+            FUZZ_MODEL, parse_lattice(mutate(FUZZ_LATTICE, mutations))
+        )
+    except ModelError:
+        return
+    assert all(validate(v.model) == [] for v in variants)
