@@ -24,6 +24,7 @@ from .model import (
     ModelError,
     ModelFormatError,
     _decode,
+    _logical_lines,
     validate,
 )
 
@@ -203,11 +204,7 @@ def parse_lattice(text: str | bytes) -> LatticeSpec:
     times: list[tuple[str, tuple[tuple[int, ...], ...]]] = []
     groups: list[tuple[str, tuple[str, ...]]] = []
     choices: tuple[str, ...] | None = None
-    for n, raw in enumerate(_decode(text).splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
+    for n, toks in _logical_lines(_decode(text)):
         if toks[0] == "time":
             if len(toks) < 4 or toks[2] != ":":
                 raise ModelFormatError("expected: time <var> : <seq> | <seq> ...", n)

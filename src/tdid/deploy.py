@@ -12,7 +12,7 @@ indexed.
 
 The result carries an implicit super value node: total utility is the sum
 over all value nodes.  Decision nodes observe their informational parents
-(the arcs into them) plus every earlier decision.
+plus every earlier decision; only the informational parents are stored.
 """
 
 from __future__ import annotations
@@ -96,18 +96,47 @@ class DeployedUtility:
 class DeployedDid:
     """Unrolled influence diagram with an implicit additive super value node.
 
-    ``info`` lists, per decision in ``decision_order``, everything that
-    decision observes: its informational parents followed by earlier
-    decisions not already among them.
+    Each node's parents are stored once: a chance or copy node's on its
+    table, a value node's on its utility, and a decision's in
+    ``decisions``, which lists the decisions in decision order, each with
+    its informational parents.  ``parents_of``, ``arcs``,
+    ``decision_order`` and ``info`` are views derived from these.
     """
 
     slices: tuple[int, ...]
     nodes: tuple[SliceNode, ...]
-    arcs: tuple[tuple[NodeId, NodeId], ...]
     tables: tuple[DeployedTable, ...]
     utilities: tuple[DeployedUtility, ...]
-    decision_order: tuple[NodeId, ...]
-    info: tuple[tuple[NodeId, tuple[NodeId, ...]], ...]
+    decisions: tuple[tuple[NodeId, tuple[NodeId, ...]], ...]
+
+    @cached_property
+    def parents_of(self) -> dict[NodeId, tuple[NodeId, ...]]:
+        """Every node's parents, keyed in node order."""
+        out = dict.fromkeys((n.id for n in self.nodes), ())
+        out.update((t.node, t.parents) for t in self.tables)
+        out.update((u.node, u.parents) for u in self.utilities)
+        out.update(self.decisions)
+        return out
+
+    @cached_property
+    def arcs(self) -> tuple[tuple[NodeId, NodeId], ...]:
+        """(parent, child) pairs: children in node order, each child's
+        parents in their stored order."""
+        return tuple((p, n) for n, ps in self.parents_of.items() for p in ps)
+
+    @cached_property
+    def decision_order(self) -> tuple[NodeId, ...]:
+        return tuple(d for d, _ in self.decisions)
+
+    @cached_property
+    def info(self) -> tuple[tuple[NodeId, tuple[NodeId, ...]], ...]:
+        """Per decision, everything it observes: its informational parents,
+        then every earlier decision not already among them (no forgetting)."""
+        order = self.decision_order
+        return tuple(
+            (d, tuple(dict.fromkeys([*parents, *order[:k]])))
+            for k, (d, parents) in enumerate(self.decisions)
+        )
 
     @cached_property
     def _by_id(self) -> dict[NodeId, SliceNode]:
@@ -210,15 +239,16 @@ def deploy(model: CondensedTdid, *, barren: bool = True) -> DeployedDid:
     nodes: list[SliceNode] = []
     tables: list[DeployedTable] = []
     utilities: list[DeployedUtility] = []
-    arcs: list[tuple[NodeId, NodeId]] = []
+    parents_of: dict[NodeId, tuple[NodeId, ...]] = {}
 
+    indexed = [(v, set(v.times)) for v in model.variables]
     for i in model.master:
-        for v in model.variables:
+        for v, times in indexed:
             if v.kind == VALUE:
-                if i in v.times:
+                if i in times:
                     nodes.append(SliceNode(v.name, i, VALUE, ()))
                 continue
-            kind = v.kind if i in v.times else COPY
+            kind = v.kind if i in times else COPY
             nodes.append(SliceNode(v.name, i, kind, v.states))
 
     group_start: dict[NodeId, int] = {}
@@ -232,46 +262,32 @@ def deploy(model: CondensedTdid, *, barren: bool = True) -> DeployedDid:
     for n in nodes:
         if n.kind == COPY:
             src = (n.base, group_start[n.id])
-            arcs.append((src, n.id))
+            parents_of[n.id] = (src,)
             k = len(n.states)
             ident = tuple(
                 tuple(1.0 if c == r else 0.0 for c in range(k)) for r in range(k)
             )
             tables.append(DeployedTable(n.id, (src,), ident))
             continue
-        v = model.variable(n.base)
         if n.kind == DECISION:
-            parents = resolve_parents(model, n.base, n.slice)
-            arcs.extend((p, n.id) for p in parents)
+            signature = parent_signature(model, n.base, n.slice)
+            parents_of[n.id] = _place(model, signature, n.slice)
             continue
         t = model.table_for(n.base, n.slice)
-        parents = _place(model, t.parents, n.slice)
-        arcs.extend((p, n.id) for p in parents)
+        parents = parents_of[n.id] = _place(model, t.parents, n.slice)
         if n.kind == CHANCE:
             tables.append(DeployedTable(n.id, parents, t.table))
         else:
             utilities.append(DeployedUtility(n.id, parents, t.values))
 
-    decision_order = _order_decisions(model, nodes, arcs)
-    info = _information(arcs, decision_order)
-
     did = DeployedDid(
         model.master,
         tuple(nodes),
-        tuple(arcs),
         tuple(tables),
         tuple(utilities),
-        decision_order,
-        info,
+        tuple((d, parents_of[d]) for d in _order_decisions(nodes, parents_of)),
     )
     return eliminate_barren(did) if barren else did
-
-
-def _parents(arcs) -> dict[NodeId, list[NodeId]]:
-    parents_of: dict[NodeId, list[NodeId]] = {}
-    for src, dst in arcs:
-        parents_of.setdefault(dst, []).append(src)
-    return parents_of
 
 
 def _ancestors(parents_of, roots) -> set[NodeId]:
@@ -286,7 +302,7 @@ def _ancestors(parents_of, roots) -> set[NodeId]:
     return out
 
 
-def _order_decisions(model, nodes, arcs) -> tuple[NodeId, ...]:
+def _order_decisions(nodes, parents_of) -> list[NodeId]:
     """Total order over decision nodes: by slice, then topologically within
     a slice (a decision that can influence another — possibly through
     intermediate chance nodes — acts first), then by name.  Name, not
@@ -294,11 +310,13 @@ def _order_decisions(model, nodes, arcs) -> tuple[NodeId, ...]:
     the model's variable declarations."""
     # Only same-slice paths can order two decisions of one slice: lag and
     # copy arcs run strictly forward in time, so walk instantaneous arcs.
-    parents_of = _parents(a for a in arcs if a[0][1] == a[1][1])
+    same_slice = {
+        n: [p for p in ps if p[1] == n[1]] for n, ps in parents_of.items()
+    }
     decisions = sorted(
         (n.id for n in nodes if n.kind == DECISION), key=lambda d: (d[1], d[0])
     )
-    anc = {d: _ancestors(parents_of, (d,)) - {d} for d in decisions}
+    anc = {d: _ancestors(same_slice, (d,)) - {d} for d in decisions}
     out: list[NodeId] = []
     for _, group in groupby(decisions, key=lambda d: d[1]):
         waiting = list(group)
@@ -309,15 +327,7 @@ def _order_decisions(model, nodes, arcs) -> tuple[NodeId, ...]:
             d = next(d for d in waiting if anc[d].isdisjoint(waiting))
             out.append(d)
             waiting.remove(d)
-    return tuple(out)
-
-
-def _information(arcs, decision_order) -> tuple:
-    parents_of = _parents(arcs)
-    return tuple(
-        (d, tuple(dict.fromkeys([*parents_of.get(d, ()), *decision_order[:k]])))
-        for k, d in enumerate(decision_order)
-    )
+    return out
 
 
 def eliminate_barren(did: DeployedDid) -> DeployedDid:
@@ -333,22 +343,16 @@ def eliminate_barren(did: DeployedDid) -> DeployedDid:
     run forward, so a decision after D* reaches only nodes that are
     stripped too.  The maximum expected utility is unchanged.
     """
-    parents_of = _parents(did.arcs)
-    to_value = _ancestors(parents_of, did.value_nodes)
-    cut = max(
-        (k + 1 for k, d in enumerate(did.decision_order) if d in to_value), default=0
-    )
-    keep = _ancestors(parents_of, did.value_nodes + did.decision_order[:cut])
-    kept_arcs = tuple(a for a in did.arcs if a[0] in keep and a[1] in keep)
-    decision_order = tuple(d for d in did.decision_order if d in keep)
+    order = did.decision_order
+    to_value = _ancestors(did.parents_of, did.value_nodes)
+    cut = max((k + 1 for k, d in enumerate(order) if d in to_value), default=0)
+    keep = _ancestors(did.parents_of, did.value_nodes + order[:cut])
     return DeployedDid(
         did.slices,
         tuple(n for n in did.nodes if n.id in keep),
-        kept_arcs,
         tuple(t for t in did.tables if t.node in keep),
         tuple(u for u in did.utilities if u.node in keep),
-        decision_order,
-        _information(kept_arcs, decision_order),
+        tuple(d for d in did.decisions if d[0] in keep),
     )
 
 
@@ -400,18 +404,10 @@ def collapse_copies(did: DeployedDid) -> DeployedDid:
         values = tuple(arr.reshape(-1).tolist())
         utilities.append(DeployedUtility(u.node, parents, values))
 
-    arcs = dict.fromkeys((resolve(s), d) for s, d in did.arcs if d not in source)
-    info = tuple((d, tuple(dict.fromkeys(map(resolve, obs)))) for d, obs in did.info)
-
-    return DeployedDid(
-        did.slices,
-        nodes,
-        tuple(arcs),
-        tuple(tables),
-        tuple(utilities),
-        did.decision_order,
-        info,
+    decisions = tuple(
+        (d, tuple(dict.fromkeys(map(resolve, parents)))) for d, parents in did.decisions
     )
+    return DeployedDid(did.slices, nodes, tuple(tables), tuple(utilities), decisions)
 
 
 def table_entry_count(did: DeployedDid) -> int:

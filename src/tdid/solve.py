@@ -35,7 +35,6 @@ import collections
 import itertools
 import math
 import operator
-import os
 import string
 from dataclasses import dataclass
 
@@ -56,14 +55,14 @@ __all__ = [
     "evaluate_policy",
     "policies_agree",
     "policy_json",
-    "ORACLE_CAP_DEFAULT",
+    "ORACLE_CAP",
     "FRONTIER_CAP",
     "SEARCH_CAP",
-    "oracle_cap",
     "policy_space_size",
 ]
 
-ORACLE_CAP_DEFAULT = 10**6
+# ``brute_force`` refuses a diagram with more deterministic policies than this.
+ORACLE_CAP = 10**6
 # The solver refuses, before allocating, a diagram whose largest batch of
 # frontiers (the cells one step's einsum loops over) or whose bound on
 # search branches exceeds these.  Cardiac at T=8 needs 69,984 cells (2,187
@@ -154,16 +153,12 @@ def _multiply(a: Factor, b: Factor) -> Factor:
 
 def _check_solvable(did: DeployedDid) -> None:
     """Every observation must precede its decision in some total order."""
-    preds: dict[NodeId, set[NodeId]] = {n.id: set() for n in did.nodes}
-    for t in did.tables:
-        preds[t.node].update(t.parents)
-    for u in did.utilities:
-        preds[u.node].update(u.parents)
+    for d in did.decision_order:
+        if not did.has_node(d):
+            raise SolveError(f"decision order names unknown node {node_name(d)}")
+    preds = {n: set(parents) for n, parents in did.parents_of.items()}
     for d, obs in did.info:
         preds[d].update(obs)
-    for d in did.decision_order:
-        if d not in preds:
-            raise SolveError(f"decision order names unknown node {node_name(d)}")
     waiting = {n: len(ps) for n, ps in preds.items()}
     children: dict[NodeId, list[NodeId]] = {}
     for n, ps in preds.items():
@@ -199,11 +194,6 @@ def policy_space_size(did: DeployedDid) -> int:
     for d in did.decision_order:
         total *= len(did.states(d)) ** _entry_count(did, d)
     return total
-
-
-def oracle_cap() -> int:
-    raw = os.environ.get("TDID_ORACLE_CAP", "")
-    return int(raw) if raw else ORACLE_CAP_DEFAULT
 
 
 # ---------------------------------------------------------------------------
@@ -291,13 +281,6 @@ class _Plan:
         info = did.info_by_decision
         dpos = {d: j for j, d in enumerate(order)}
         domains = _domains(did)
-        for j, d in enumerate(order):
-            for e in set(order[:j]).difference(info[d]):
-                raise SolveError(
-                    f"{node_name(d)} does not observe the earlier decision "
-                    f"{node_name(e)}; every decision must observe all "
-                    "earlier ones"
-                )
         # Per decision: its options, and the joint states of what it
         # observes that the search does not fix.
         shapes = {
@@ -819,10 +802,9 @@ def brute_force(did: DeployedDid) -> Policy:
     first maximum is kept, matching ``solve``'s tie-breaking.
     """
     size = policy_space_size(did)
-    cap = oracle_cap()
-    if size > cap:
+    if size > ORACLE_CAP:
         raise OracleCapError(
-            f"policy space has {size} policies, above the cap of {cap}"
+            f"policy space has {size} policies, above the cap of {ORACLE_CAP}"
         )
     dense = _Dense(did)
     per_entry: list[range] = []

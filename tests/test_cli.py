@@ -175,7 +175,7 @@ def test_solve_oracle_agrees(capsys, one_decision):
 
 
 def test_solve_oracle_cap(capsys, one_decision, monkeypatch):
-    monkeypatch.setenv("TDID_ORACLE_CAP", "2")
+    monkeypatch.setattr("tdid.solve.ORACLE_CAP", 2)
     code, _, err = run(capsys, "solve", one_decision, "--oracle")
     assert code == 4 and "error:" in err
 

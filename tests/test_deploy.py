@@ -283,6 +283,34 @@ def test_childless_decision_kept_when_later_decision_observes_it():
     assert ("D1", 1) in obs
 
 
+def test_earlier_decisions_are_derived_and_arcs_follow_node_order():
+    # D2's record stores only its informational parent Z; observing the
+    # earlier decision D1 is implied.  Z is declared first, so node order
+    # differs from sorted order.
+    m = parse(
+        """
+        tdid 1
+        master 1
+        chance Z : z0 z1
+        decision D1 : a b
+        decision D2 : a b
+        value U
+        arc inst Z D2
+        arc inst Z U
+        arc inst D1 U
+        arc inst D2 U
+        cpt Z @ 1 | : 0.5 0.5
+        util U @ 1 | Z D1 D2 : 0 1 2 3 4 5 6 7
+        """
+    )
+    did = deploy(m)
+    z, d1, d2, u = ("Z", 1), ("D1", 1), ("D2", 1), ("U", 1)
+    assert did.decisions == ((d1, ()), (d2, (z,)))
+    assert did.decision_order == (d1, d2)
+    assert did.info_by_decision == {d1: (), d2: (z, d1)}
+    assert did.arcs == ((z, d2), (z, u), (d1, u), (d2, u))
+
+
 def test_trailing_childless_decision_removed():
     m = parse(
         """

@@ -266,18 +266,17 @@ def test_oracle_cap(monkeypatch):
             """
         )
     )
-    monkeypatch.setenv("TDID_ORACLE_CAP", "4")
-    with pytest.raises(OracleCapError, match="above the cap"):
+    monkeypatch.setattr("tdid.solve.ORACLE_CAP", 4)
+    with pytest.raises(OracleCapError, match="above the cap of 4"):
         brute_force(did)
-    monkeypatch.delenv("TDID_ORACLE_CAP")
+    monkeypatch.undo()
     assert brute_force(did).meu == pytest.approx(1.0)
 
 
 def test_unsolvable_information_structure_detected():
     did = deploy(parse(ONE_DECISION))
-    # rewire D@1 to "observe" U's parent C@1's child... simplest: make the
-    # decision observe a node that depends on the decision itself.
-    bad = dataclasses.replace(did, info=(((("D", 1)), (("U", 1),)),))
+    # The decision observes a node that depends on the decision itself.
+    bad = dataclasses.replace(did, decisions=((("D", 1), (("U", 1),)),))
     with pytest.raises(SolveError):
         solve(bad)
 
@@ -449,27 +448,6 @@ def test_preflight_refuses_a_wide_frontier():
     did = deploy(parse(text))
     with pytest.raises(SolveCapError, match="holds 8388608 frontier cells"):
         solve(did)
-
-
-def test_decision_must_observe_earlier_decisions():
-    did = deploy(
-        parse(
-            """
-            tdid 1
-            master 1
-            decision D1 : a b
-            decision D2 : a b
-            value U
-            arc inst D1 D2
-            arc inst D1 U
-            arc inst D2 U
-            util U @ 1 | D1 D2 : 0 1 2 3
-            """
-        )
-    )
-    blind = dataclasses.replace(did, info=((("D1", 1), ()), (("D2", 1), ())))
-    with pytest.raises(SolveError, match="does not observe the earlier decision D1@1"):
-        solve(blind)
 
 
 def test_solved_policy_achieves_its_meu_on_wide_random_models():
