@@ -87,6 +87,8 @@ class SuiteEntry:
             )
         if self.space_size < 1:
             raise MetareasonError(f"entry {self.name!r}: empty deployed model")
+        if self.n_intervals < 0:
+            raise MetareasonError(f"entry {self.name!r}: intervals must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -340,28 +342,73 @@ class Problem:
 def load_kb(path) -> list[SuiteEntry]:
     """Read every ``*.entry`` manifest (and its model file) in a directory.
 
-    Every file is read on every call; a model file whose bytes equal those
-    last parsed from the same path reuses that parse (see ``_parsed``).
+    Both files of every entry are read on every call.  An entry whose two
+    files hold the same bytes as at its last successful load is returned
+    as that load built it (see ``_records``); any other entry is read
+    afresh.
     """
     path = pathlib.Path(path)
     if not path.is_dir():
         raise FileNotFoundError(f"knowledge base {str(path)!r} is not a directory")
-    names = sorted(n for n in os.listdir(path) if n.endswith(".entry"))
-    entries = [_read_entry(path / n) for n in names]
+    root = str(path)
+    names = sorted(n for n in os.listdir(root) if n.endswith(".entry"))
+    entries = [_load_entry(os.path.join(root, n)) for n in names]
     if not entries:
         raise MetareasonError(f"knowledge base {str(path)!r} has no entries")
     return entries
 
 
-# Model-file path -> (bytes, model) of its last successful parse.  Parsing
-# is a pure function of the bytes and models are immutable, so equal bytes
-# may share one model; the path only says where to look.
-_parsed: dict[pathlib.Path, tuple[bytes, CondensedTdid]] = {}
+@dataclass(eq=False, slots=True)
+class _Record:
+    """One manifest's last successful load: the bytes of both its files,
+    the entry built from them, and that entry's policy once solved."""
+
+    manifest: bytes
+    model_path: str
+    model: bytes
+    entry: SuiteEntry
+    policy: Policy | None = None
 
 
-def _read_entry(manifest: pathlib.Path) -> SuiteEntry:
+# Manifest path -> its record.  An entry is a pure function of its two
+# files' bytes and entries are immutable, so equal bytes may return the
+# same entry.  A changed file replaces the record, policy and all, so a
+# policy is only ever served for the model it was solved from.
+_records: dict[str, _Record] = {}
+
+
+def _read(path: str) -> bytes:
+    with open(path, "rb") as f:
+        return f.read()
+
+
+def _load_entry(manifest: str) -> SuiteEntry:
+    data = _read(manifest)
+    record = _records.get(manifest)
+    if record is not None and record.manifest == data:
+        try:
+            if _read(record.model_path) == record.model:
+                return record.entry
+        except OSError:
+            pass  # read again, and reported, below
+    record = _records[manifest] = _read_entry(pathlib.Path(manifest), data)
+    return record.entry
+
+
+def _solved(kb_path, entry: SuiteEntry) -> Policy:
+    """The entry's policy, solved at most once per record of its manifest."""
+    manifest = os.path.join(str(pathlib.Path(kb_path)), f"{entry.name}.entry")
+    record = _records.get(manifest)
+    if record is None or record.entry.model is not entry.model:
+        return solve(deploy(entry.model))
+    if record.policy is None:
+        record.policy = solve(deploy(entry.model))
+    return record.policy
+
+
+def _read_entry(manifest: pathlib.Path, data: bytes) -> _Record:
     try:
-        text = _decode(manifest.read_bytes())
+        text = _decode(data)
     except ModelFormatError as err:
         raise MetareasonError(f"{manifest.name}: {err}") from None
     fields: dict[str, str] = {}
@@ -378,22 +425,23 @@ def _read_entry(manifest: pathlib.Path) -> SuiteEntry:
         raise MetareasonError(
             f"{manifest.name}: missing {', '.join(sorted(missing))}"
         )
-    model_path = manifest.parent / fields["model"]
+    model_file = fields["model"]
+    # A file of this directory only: no path, no "..", no NUL for open().
+    plain = model_file not in ("", ".", "..") and "\0" not in model_file
+    if not plain or os.path.dirname(model_file):
+        raise MetareasonError(
+            f"{manifest.name}: model must be a file name in the knowledge "
+            f"base, got {model_file!r}"
+        )
+    model_path = os.path.join(str(manifest.parent), model_file)
     try:
-        data = model_path.read_bytes()
+        model_bytes = _read(model_path)
     except OSError as err:
         raise MetareasonError(f"{manifest.name}: cannot read model: {err}") from err
-    seen = _parsed.get(model_path)
-    if seen is not None and seen[0] == data:
-        model = seen[1]
-    else:
-        try:
-            model = parse_model(data)
-        except ModelFormatError as err:
-            raise MetareasonError(
-                f"{manifest.name}: {fields['model']}: {err}"
-            ) from None
-        _parsed[model_path] = (data, model)
+    try:
+        model = parse_model(model_bytes)
+    except ModelFormatError as err:
+        raise MetareasonError(f"{manifest.name}: {model_file}: {err}") from None
 
     def number(key, kind):
         try:
@@ -407,7 +455,7 @@ def _read_entry(manifest: pathlib.Path) -> SuiteEntry:
             f"got {fields[key]!r}"
         )
 
-    return SuiteEntry(
+    entry = SuiteEntry(
         name=manifest.stem,
         model=model,
         cost_time=number("cost", float),
@@ -416,6 +464,7 @@ def _read_entry(manifest: pathlib.Path) -> SuiteEntry:
         quality=None if fields["quality"] == "unsolved" else number("quality", float),
         tags=tuple(fields.get("tags", "").split()),
     )
+    return _Record(data, model_path, model_bytes, entry)
 
 
 def write_entry(kb_dir, entry: SuiteEntry) -> pathlib.Path:
@@ -472,17 +521,18 @@ def prepare_suite(
     policies: dict[str, Policy] = {}
     for k, e in enumerate(suite):
         if e.quality is None:
-            suite[k], policies[e.name] = solve_entry(e)
+            policies[e.name] = policy = _solved(kb_path, e)
+            suite[k] = replace(e, quality=policy.meu)
     return suite, policies
 
 
 def construct(kb_path, problem: Problem) -> ConstructResult:
     """Full selection pipeline over a knowledge base: ``prepare_suite``,
-    ``select``, then solve the winner for its policy."""
+    ``select``, then the winner's policy, solved once per loaded model."""
     suite, policies = prepare_suite(kb_path, problem)
     curve = select(suite, problem.urgency, problem.t0)
     winner = curve.best
-    policy = policies.get(winner.name) or solve(deploy(winner.model))
+    policy = policies.get(winner.name) or _solved(kb_path, winner)
     return ConstructResult(curve, winner, policy, tuple(suite))
 
 

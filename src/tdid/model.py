@@ -163,6 +163,14 @@ class CondensedTdid:
             if kind is None or a.kind == kind
         )
 
+    @cached_property
+    def _cpd_index(self) -> dict[tuple[str, int | None], TabularCpd]:
+        return _table_index(self.cpds)
+
+    @cached_property
+    def _utility_index(self) -> dict[tuple[str, int | None], UtilityTable]:
+        return _table_index(self.utilities)
+
     def table_for(
         self, name: str, i: int
     ) -> TabularCpd | UtilityTable | None:
@@ -171,16 +179,21 @@ class CondensedTdid:
         An explicit table at ``i`` takes precedence; otherwise the stationary
         table applies.  Returns None when neither exists.
         """
-        pool = self.utilities if self.variable(name).kind == VALUE else self.cpds
-        stationary = None
-        for t in pool:
-            if t.variable != name:
-                continue
-            if t.time_index == i:
-                return t
-            if t.time_index is None:
-                stationary = t
-        return stationary
+        kind = self.variable(name).kind
+        index = self._utility_index if kind == VALUE else self._cpd_index
+        table = index.get((name, i))
+        return table if table is not None else index.get((name, None))
+
+
+def _table_index(pool) -> dict:
+    """(variable, time_index) -> table, keeping the first explicit table at
+    each index and the last stationary one, as a scan of the pool would."""
+    index = {}
+    for t in pool:
+        key = (t.variable, t.time_index)
+        if t.time_index is None or key not in index:
+            index[key] = t
+    return index
 
 
 def parent_signature(
@@ -275,10 +288,11 @@ def validate(model: CondensedTdid) -> list[str]:
         return out  # table checks below assume sound structure
 
     covered: dict[tuple[str, int | None], int] = {}
+    times = {v.name: frozenset(v.times) for v in model.variables}
     for cpd in model.cpds:
-        out.extend(_check_table(model, cpd, covered))
+        out.extend(_check_table(model, cpd, covered, times))
     for util in model.utilities:
-        out.extend(_check_table(model, util, covered))
+        out.extend(_check_table(model, util, covered, times))
 
     # Coverage: every indexed node needs exactly one applicable table.
     for v in model.variables:
@@ -322,7 +336,7 @@ def _check_sequence(where: str, seq: tuple[int, ...]) -> list[str]:
     return out
 
 
-def _check_table(model, t, covered) -> list[str]:
+def _check_table(model, t, covered, times) -> list[str]:
     is_cpd = isinstance(t, TabularCpd)
     label = "cpd" if is_cpd else "utility"
     at = "*" if t.stationary else str(t.time_index)
@@ -344,7 +358,7 @@ def _check_table(model, t, covered) -> list[str]:
         out.append(f"{where}: duplicate table")
     covered[key] = 1
 
-    if not t.stationary and t.time_index not in v.times:
+    if not t.stationary and t.time_index not in times[t.variable]:
         out.append(f"{where}: index {t.time_index} not in the variable's times")
 
     n_rows = 1

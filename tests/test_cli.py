@@ -389,6 +389,35 @@ def test_select_names_malformed_model_file(capsys, kb):
     assert err == "error: full.entry: full.tdid: line 3: unknown directive 'bogus'\n"
 
 
+def set_manifest_field(manifest, field, value):
+    lines = manifest.read_text().splitlines()
+    manifest.write_text(
+        "\n".join(f"{field} {value}" if ln.split()[0] == field else ln for ln in lines)
+    )
+
+
+@pytest.mark.parametrize("where", ["../x.tdid", "/etc/hostname", "absolute"])
+def test_select_refuses_model_outside_kb(capsys, kb, where):
+    # A valid model just outside the knowledge base is still refused.
+    (kb.parent / "x.tdid").write_bytes((kb / "full.tdid").read_bytes())
+    if where == "absolute":
+        where = str((kb / "full.tdid").resolve())
+    set_manifest_field(kb / "full.entry", "model", where)
+    for command in ("select", "evc"):
+        code, _, err = run(capsys, command, kb, "--urgency", "linear:1")
+        assert code == 1 and one_error_line(err)
+        assert err == (
+            "error: full.entry: model must be a file name in the knowledge "
+            f"base, got {where!r}\n"
+        )
+
+
+def test_select_refuses_negative_intervals(capsys, kb):
+    set_manifest_field(kb / "full.entry", "intervals", "-1")
+    code, _, err = run(capsys, "select", kb, "--urgency", "linear:1")
+    assert code == 1 and one_error_line(err) and "intervals must be nonnegative" in err
+
+
 def test_select_requires_urgency(capsys, kb):
     with pytest.raises(SystemExit) as exc:
         main(["select", str(kb)])

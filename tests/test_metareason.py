@@ -33,7 +33,7 @@ from tdid.metareason import (
     write_entry,
 )
 from tdid.model import canonical, parse
-from tdid.abstraction import abstract_time
+from tdid.abstraction import abstract_space, abstract_time, retime
 from tdid.solve import solve
 
 TINY = parse(
@@ -419,6 +419,78 @@ def test_kb_reload_of_deleted_model(tmp_path, fixtures_dir):
     (kb / "coarse.tdid").unlink()
     with pytest.raises(MetareasonError, match="coarse.entry: cannot read model"):
         load_kb(kb)
+
+
+def test_kb_reload_sees_rewritten_manifest(tmp_path, fixtures_dir):
+    kb = build_kb(tmp_path, fixtures_dir)
+    before = {e.name: e for e in load_kb(kb)}
+    manifest = kb / "full.entry"
+    edits = {"quality": "quality 7.5", "cost": "cost 0.25"}
+    lines = manifest.read_text().splitlines()
+    manifest.write_text("\n".join(edits.get(ln.split()[0], ln) for ln in lines) + "\n")
+    after = {e.name: e for e in load_kb(kb)}
+    assert (after["full"].quality, after["full"].cost_time) == (7.5, 0.25)
+    assert after["full"].model == before["full"].model
+    assert after["coarse"] is before["coarse"]
+
+
+def build_solved_kb(tmp_path, fixtures_dir):
+    """Cardiac and its coarsest abstraction, solved; returns the directory
+    and the urgency under which each entry wins."""
+    model = parse((fixtures_dir / "cardiac.tdid").read_bytes())
+    coarse = abstract_space(retime(model, "all", (1, 3)), ["CD"])
+    cm = CostModel(alpha=0.1, beta=1.0)
+    kb = tmp_path / "solved"
+    for name, m in (("full", model), ("coarse", coarse)):
+        solved, _ = solve_entry(make_entry(name, m))
+        write_entry(kb, with_cost(solved, cm))
+    return kb, {"full": UrgencyFunction.linear(0.0), "coarse": UrgencyFunction.linear(1000.0)}
+
+
+def counting_solve(monkeypatch):
+    calls = []
+
+    def counted(did):
+        calls.append(did)
+        return solve(did)
+
+    monkeypatch.setattr(metareason, "solve", counted)
+    return calls
+
+
+def test_construct_solves_each_winner_once(tmp_path, fixtures_dir, monkeypatch):
+    kb, urgencies = build_solved_kb(tmp_path, fixtures_dir)
+    calls = counting_solve(monkeypatch)
+    winners = set()
+    for _ in range(3):
+        for urgency in urgencies.values():
+            result = construct(kb, Problem(urgency=urgency))
+            winners.add(result.entry.name)
+            assert result.policy == solve(deploy(result.entry.model))
+    assert winners == set(urgencies)
+    assert len(calls) == len(winners)
+
+
+def test_construct_after_winner_model_rewritten(tmp_path, fixtures_dir, monkeypatch):
+    kb, urgencies = build_solved_kb(tmp_path, fixtures_dir)
+    problem = Problem(urgency=urgencies["full"])
+    old = construct(kb, problem).policy
+    (kb / "full.tdid").write_bytes((kb / "coarse.tdid").read_bytes())
+    result = construct(kb, problem)
+    assert result.entry.name == "full"
+    fresh = solve(deploy(parse((kb / "coarse.tdid").read_bytes())))
+    assert result.policy == fresh != old
+
+
+def test_prepare_suite_solves_unsolved_entry_once(tmp_path, fixtures_dir, monkeypatch):
+    kb = build_kb(tmp_path, fixtures_dir)
+    calls = counting_solve(monkeypatch)
+    problem = Problem(urgency=UrgencyFunction.linear(0.0))
+    first = metareason.prepare_suite(kb, problem)
+    second = metareason.prepare_suite(kb, problem)
+    assert len(calls) == 2  # one per unsolved entry, both in the first call
+    assert first == second
+    assert sorted(first[1]) == ["coarse", "full"]
 
 
 def test_construct_pipeline(tmp_path, fixtures_dir):

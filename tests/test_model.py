@@ -378,3 +378,53 @@ def test_float_formatting_round_trips(x):
     # 17 significant digits reproduce any double exactly.
     assert float(fmt_float(x)) == x
     assert fmt_float(x) == fmt_float(x)
+
+
+def scanned_table_for(model, name, i):
+    """``table_for`` as a scan of the pool: the first explicit table at
+    ``i``, else the last stationary one."""
+    kind = model.variable(name).kind
+    pool = model.utilities if kind == VALUE else model.cpds
+    stationary = None
+    for t in pool:
+        if t.variable != name:
+            continue
+        if t.time_index == i:
+            return t
+        if t.time_index is None:
+            stationary = t
+    return stationary
+
+
+def assert_table_for_matches_scan(model):
+    for v in model.variables:
+        for i in (0, *v.times, max(v.times) + 1):
+            assert model.table_for(v.name, i) is scanned_table_for(model, v.name, i)
+
+
+def test_table_for_matches_scan_on_fixtures(fixtures_dir):
+    for name in ("cardiac.tdid", "two_var_lagged.tdid"):
+        assert_table_for_matches_scan(parse((fixtures_dir / name).read_bytes()))
+
+
+def test_table_for_matches_scan_on_random_models():
+    rng = np.random.default_rng(20261018)
+    for _ in range(400):
+        assert_table_for_matches_scan(random_model(rng))
+
+
+def test_table_for_precedence_with_repeated_tables():
+    # Invalid, so built directly: two explicit tables at 1, two stationary.
+    x = TemporalVariable("X", CHANCE, ("a", "b"), (1, 2))
+    u = TemporalVariable("U", VALUE, (), (1, 2))
+    cpds = tuple(
+        TabularCpd("X", i, (), ((p, 1 - p),))
+        for i, p in ((None, 0.1), (1, 0.2), (None, 0.3), (1, 0.4))
+    )
+    utils = tuple(UtilityTable("U", i, (), (v,)) for i, v in ((1, 1.0), (None, 2.0), (1, 3.0)))
+    m = CondensedTdid((1, 2), (x, u), (), cpds, utils)
+    assert m.table_for("X", 1) is cpds[1]
+    assert m.table_for("X", 2) is cpds[2]
+    assert m.table_for("U", 1) is utils[0]
+    assert m.table_for("U", 2) is utils[1]
+    assert_table_for_matches_scan(m)
