@@ -203,10 +203,25 @@ def with_cost(entry: SuiteEntry, cost_model: CostModel) -> SuiteEntry:
     return replace(entry, cost_time=estimate_cost(entry, cost_model))
 
 
+# The model last deployed here, and its deployed form, so that solving an
+# entry just made does not deploy its model again.  Matched by identity:
+# at most one deployed diagram is held.
+_last_deployed: tuple = (None, None)
+
+
+def _deployed(model: CondensedTdid):
+    global _last_deployed
+    held, did = _last_deployed
+    if held is not model:
+        did = deploy(model)
+        _last_deployed = (model, did)
+    return did
+
+
 def make_entry(name: str, model: CondensedTdid, tags=()) -> SuiteEntry:
     """Build an unsolved entry, measuring deployed size. Cost defaults to
     the space size (an analytic model with α=1, β=0) until re-costed."""
-    did = deploy(model)
+    did = _deployed(model)
     space = table_entry_count(did)
     return SuiteEntry(
         name=name,
@@ -220,7 +235,7 @@ def make_entry(name: str, model: CondensedTdid, tags=()) -> SuiteEntry:
 
 def solve_entry(entry: SuiteEntry) -> tuple[SuiteEntry, Policy]:
     """Solve the entry's model; fill in its quality."""
-    policy = solve(deploy(entry.model))
+    policy = solve(_deployed(entry.model))
     return replace(entry, quality=policy.meu), policy
 
 

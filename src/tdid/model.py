@@ -526,30 +526,32 @@ def parse(text: str | bytes) -> CondensedTdid:
 
     cpds = []
     seen_tables: set[tuple[str, str, int | None]] = set()
+    times = {v.name: frozenset(v.times) for v in variables}
     for ln, name, idx, parents, rows in raw_cpds:
         cpds.append(
             TabularCpd(name, idx, _assign_roles(model, name, parents, ln), rows)
         )
-        _check_declared(model, "cpt", name, idx, ln, seen_tables)
+        _check_declared(times, "cpt", name, idx, ln, seen_tables)
     utils = []
     for ln, name, idx, parents, values in raw_utils:
         utils.append(
             UtilityTable(name, idx, _assign_roles(model, name, parents, ln), values)
         )
-        _check_declared(model, "util", name, idx, ln, seen_tables)
+        _check_declared(times, "util", name, idx, ln, seen_tables)
 
     return replace(model, cpds=tuple(cpds), utilities=tuple(utils))
 
 
-def _check_declared(model, label, name, idx, ln, seen) -> None:
-    if not model.has_variable(name):
+def _check_declared(times, label, name, idx, ln, seen) -> None:
+    """``times`` maps each declared variable to the set of its indices."""
+    if name not in times:
         raise ModelFormatError(f"{label} references undeclared variable {name!r}", ln)
     key = (label, name, idx)
     if key in seen:
         at = "*" if idx is None else idx
         raise ModelFormatError(f"duplicate {label} {name} @ {at}", ln)
     seen.add(key)
-    if idx is not None and idx not in model.variable(name).times:
+    if idx is not None and idx not in times[name]:
         raise ModelFormatError(
             f"{label} {name} @ {idx}: variable is not indexed at time {idx}", ln
         )

@@ -21,7 +21,8 @@ a decision history run as one batch: the frontier carries a leading axis
 over them, so each step is one einsum for the whole batch.  The last
 decision needs no enumeration: its utility-to-go is one backward pass,
 cached by the decision values the tail reads.  ``evaluate_policy`` runs
-the same pass with the policy's own rule as the only candidate.
+the same pass with the policy's own rule as the only candidate, on the
+plan ``solve`` built when given the diagram ``solve`` last solved.
 
 ``brute_force`` is an independent oracle: it enumerates every
 deterministic policy in lexicographic order and evaluates each against
@@ -683,13 +684,26 @@ def _search_bound(decisions, evaluating: bool) -> int:
     return total
 
 
+# The diagram ``solve`` last planned, and its plan: ``evaluate_policy`` on
+# that same object runs the policy through it.  Matched by identity, so no
+# diagram is hashed and at most one plan is held; replaced as one tuple, so
+# a reader never pairs a diagram with another's plan.  A solving plan is
+# admissible for evaluation (evaluating never bounds more branches or
+# frontier rows), and its utility-to-go cache is keyed by decision values,
+# not by rules, so reusing it is exact.
+_last_plan: tuple = (None, None)
+
+
 def solve(did: DeployedDid) -> Policy:
     """Maximum-expected-utility policy of the deployed diagram.
 
     Exact for the module's information structure; ties between options
     break toward the lowest option index for every entry.
     """
-    meu, chosen = _Plan(did).run()
+    global _last_plan
+    plan = _Plan(did)
+    _last_plan = (did, plan)
+    meu, chosen = plan.run()
     order = did.decision_order
     tables = [[0] * _entry_count(did, d) for d in order]  # unreached: option 0
     for j, e, c in chosen:
@@ -790,7 +804,9 @@ def _check_policy(did: DeployedDid, policy: Policy) -> None:
 def evaluate_policy(did: DeployedDid, policy: Policy) -> float:
     """Expected total utility of following the fixed policy."""
     _check_policy(did, policy)
-    plan = _Plan(did, evaluating=True)
+    planned, plan = _last_plan
+    if planned is not did:
+        plan = _Plan(did, evaluating=True)
     return plan.run(tuple(policy.rule(d).choices for d in did.decision_order))[0]
 
 

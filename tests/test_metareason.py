@@ -1,5 +1,6 @@
 """Deliberation-time selection: EVC arithmetic, suites, knowledge bases."""
 
+import dataclasses
 import math
 import shutil
 
@@ -311,6 +312,24 @@ def test_make_and_solve_entry(fixtures_dir):
     solved, policy = solve_entry(e)
     assert solved.quality == policy.meu
     assert policy.meu == solve(deploy(model)).meu
+
+
+def test_solving_an_entry_just_made_deploys_its_model_once(monkeypatch, fixtures_dir):
+    deployed = []
+
+    def counting(model, *args, **kwargs):
+        deployed.append(model)
+        return deploy(model, *args, **kwargs)
+
+    monkeypatch.setattr(metareason, "deploy", counting)
+    model = parse((fixtures_dir / "two_var_lagged.tdid").read_bytes())
+    solved, policy = solve_entry(make_entry("full", model))
+    assert deployed == [model]
+    assert policy == solve(deploy(model))
+    # An equal but distinct model is deployed afresh.
+    twin = parse((fixtures_dir / "two_var_lagged.tdid").read_bytes())
+    assert solve_entry(dataclasses.replace(solved, model=twin))[1] == policy
+    assert len(deployed) == 2 and deployed[1] is twin
 
 
 def test_kb_round_trip(tmp_path, fixtures_dir):

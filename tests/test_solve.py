@@ -492,3 +492,65 @@ def test_only_summation_noise_counts_as_a_tie():
     p = solve(did)
     assert p.rule(("D2", 1)).choices == (0, 0)
     assert p.rule(("D1", 1)).choices == (0, 0)
+
+
+@pytest.fixture
+def plans(monkeypatch):
+    """Records each solver plan built during the test: whether it was an
+    evaluating one."""
+    import tdid.solve
+
+    built = []
+
+    class Counting(tdid.solve._Plan):
+        def __init__(self, did, evaluating=False):
+            built.append(evaluating)
+            super().__init__(did, evaluating)
+
+    monkeypatch.setattr(tdid.solve, "_Plan", Counting)
+    return built
+
+
+def test_evaluate_policy_reuses_the_plan_solve_built(plans):
+    model = cardiac(3)
+    did = deploy(model)
+    p = solve(did)
+    value = evaluate_policy(did, p)
+    assert plans == [False]
+    # An equal but distinct diagram gets its own plan, and the same value.
+    twin = deploy(model)
+    assert twin == did and twin is not did
+    assert evaluate_policy(twin, p) == value
+    assert plans == [False, True]
+
+
+def test_evaluate_policy_ignores_the_plan_of_another_diagram(plans):
+    did_a, did_b = deploy(cardiac(2)), deploy(cardiac(3))
+    p_a = solve(did_a)
+    value = evaluate_policy(did_a, p_a)
+    solve(did_b)
+    assert evaluate_policy(did_a, p_a) == value
+    assert plans == [False, False, True]
+
+
+def test_evaluate_policy_admits_a_diagram_solve_refuses():
+    did = deploy(cardiac(9))
+    option_0 = Policy(
+        tuple(
+            DecisionRule(d, obs, (0,) * int(np.prod([len(did.states(o)) for o in obs])))
+            for d, obs in did.info
+        ),
+        0.0,
+    )
+    with pytest.raises(SolveCapError, match="reaches 2015538 branches"):
+        solve(did)
+    assert np.isfinite(evaluate_policy(did, option_0))
+    with pytest.raises(SolveCapError, match="reaches 2015538 branches"):
+        solve(did)
+
+
+def test_policies_agree_after_solve_builds_no_further_plan(plans):
+    did = deploy(cardiac(3))
+    p = solve(did)
+    assert policies_agree(did, p, dataclasses.replace(p))
+    assert plans == [False]
