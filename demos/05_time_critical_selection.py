@@ -52,8 +52,9 @@ def main():
 def run(kb):
     """Build the knowledge base in ``kb``, then select under several urgencies."""
     build_knowledge_base(kb)
-    print("knowledge base:", kb)
-    for manifest in sorted(kb.glob("*.entry")):
+    manifests = sorted(kb.glob("*.entry"))
+    print(f"knowledge base: {kb.name}, {len(manifests)} entries")
+    for manifest in manifests:
         print(f"--- {manifest.name}")
         print("   ", manifest.read_text().strip().replace("\n", "\n    "))
 

@@ -28,6 +28,7 @@ from .model import (
     CHANCE,
     DECISION,
     INST,
+    LAG,
     VALUE,
     CondensedTdid,
     ModelError,
@@ -244,30 +245,19 @@ def deploy(model: CondensedTdid, *, barren: bool = True) -> DeployedDid:
     indexed = [(v, set(v.times)) for v in model.variables]
     for i in model.master:
         for v, times in indexed:
-            if v.kind == VALUE:
-                if i in times:
-                    nodes.append(SliceNode(v.name, i, VALUE, ()))
-                continue
-            kind = v.kind if i in times else COPY
-            nodes.append(SliceNode(v.name, i, kind, v.states))
-
-    group_start: dict[NodeId, int] = {}
-    for v in model.variables:
-        if v.kind == VALUE:
-            continue
-        for group in partition(model.master, v.times):
-            for i in group[1:]:
-                group_start[(v.name, i)] = group[0]
+            if i in times:
+                nodes.append(SliceNode(v.name, i, v.kind, v.states))
+            elif v.kind != VALUE:  # value variables get no copies
+                nodes.append(SliceNode(v.name, i, COPY, v.states))
 
     for n in nodes:
         if n.kind == COPY:
-            src = (n.base, group_start[n.id])
-            parents_of[n.id] = (src,)
+            # A copy's slice is not indexed, so its group's start is the
+            # slice a lag arc from the variable itself would read.
+            parents = parents_of[n.id] = _place(model, ((n.base, LAG),), n.slice)
             k = len(n.states)
-            ident = tuple(
-                tuple(1.0 if c == r else 0.0 for c in range(k)) for r in range(k)
-            )
-            tables.append(DeployedTable(n.id, (src,), ident))
+            ident = tuple(tuple(float(c == r) for c in range(k)) for r in range(k))
+            tables.append(DeployedTable(n.id, parents, ident))
             continue
         if n.kind == DECISION:
             signature = parent_signature(model, n.base, n.slice)
@@ -290,13 +280,14 @@ def deploy(model: CondensedTdid, *, barren: bool = True) -> DeployedDid:
     return eliminate_barren(did) if barren else did
 
 
-def _ancestors(parents_of, roots) -> set[NodeId]:
-    """The roots and every node with a directed path to one of them."""
+def _ancestors(parents_of, roots, within=None) -> set[NodeId]:
+    """The roots and every node with a directed path to one of them; with
+    ``within``, only along paths that stay in that slice."""
     out = set(roots)
     stack = list(out)
     while stack:
         for p in parents_of.get(stack.pop(), ()):
-            if p not in out:
+            if p not in out and (within is None or p[1] == within):
                 out.add(p)
                 stack.append(p)
     return out
@@ -308,18 +299,18 @@ def _order_decisions(nodes, parents_of) -> list[NodeId]:
     intermediate chance nodes — acts first), then by name.  Name, not
     declaration order, breaks ties so the order is stable under permuting
     the model's variable declarations."""
-    # Only same-slice paths can order two decisions of one slice: lag and
-    # copy arcs run strictly forward in time, so walk instantaneous arcs.
-    same_slice = {
-        n: [p for p in ps if p[1] == n[1]] for n, ps in parents_of.items()
-    }
     decisions = sorted(
         (n.id for n in nodes if n.kind == DECISION), key=lambda d: (d[1], d[0])
     )
-    anc = {d: _ancestors(same_slice, (d,)) - {d} for d in decisions}
     out: list[NodeId] = []
-    for _, group in groupby(decisions, key=lambda d: d[1]):
+    for i, group in groupby(decisions, key=lambda d: d[1]):
         waiting = list(group)
+        if len(waiting) == 1:
+            out.extend(waiting)
+            continue
+        # Only same-slice paths can order two decisions of one slice: lag and
+        # copy arcs run strictly forward in time, so walk instantaneous arcs.
+        anc = {d: _ancestors(parents_of, (d,), i) - {d} for d in waiting}
         while waiting:
             # Kahn step: take the first decision (by name) no other waiting
             # decision can influence.  Instantaneous arcs are acyclic, so
@@ -373,9 +364,12 @@ def collapse_copies(did: DeployedDid) -> DeployedDid:
     def resolve(nid: NodeId) -> NodeId:
         return source.get(nid, nid)
 
-    def rewire_table(parents, body, n_states):
-        shape = [len(did.states(p)) for p in parents] + [n_states]
-        arr = np.asarray(body, dtype=float).reshape(shape)
+    def rewire(parents, body):
+        """Parents with each copy replaced by its source, and the body
+        (rows or values) with the axes of a repeated parent merged."""
+        arr = np.asarray(body, dtype=float)
+        tail = arr.shape[1:]  # the child's states, for a table's rows
+        arr = arr.reshape([len(did.states(p)) for p in parents] + list(tail))
         new_parents = list(parents)
         k = 0
         while k < len(new_parents):
@@ -388,26 +382,26 @@ def collapse_copies(did: DeployedDid) -> DeployedDid:
             else:
                 new_parents[k] = p
                 k += 1
-        return tuple(new_parents), arr
+        flat = arr.reshape(-1, *tail).tolist()
+        return tuple(new_parents), tuple(map(tuple, flat) if tail else flat)
 
+    # A table or utility that reads no copy is kept as it is.
     nodes = tuple(n for n in did.nodes if n.kind != COPY)
-    tables = []
-    for t in did.tables:
-        if t.node in source:
-            continue
-        parents, arr = rewire_table(t.parents, t.rows, len(did.states(t.node)))
-        rows = arr.reshape(-1, arr.shape[-1]).tolist()
-        tables.append(DeployedTable(t.node, parents, tuple(map(tuple, rows))))
-    utilities = []
-    for u in did.utilities:
-        parents, arr = rewire_table(u.parents, np.asarray(u.values)[..., None], 1)
-        values = tuple(arr.reshape(-1).tolist())
-        utilities.append(DeployedUtility(u.node, parents, values))
-
+    tables = tuple(
+        t if source.keys().isdisjoint(t.parents)
+        else DeployedTable(t.node, *rewire(t.parents, t.rows))
+        for t in did.tables
+        if t.node not in source
+    )
+    utilities = tuple(
+        u if source.keys().isdisjoint(u.parents)
+        else DeployedUtility(u.node, *rewire(u.parents, u.values))
+        for u in did.utilities
+    )
     decisions = tuple(
         (d, tuple(dict.fromkeys(map(resolve, parents)))) for d, parents in did.decisions
     )
-    return DeployedDid(did.slices, nodes, tuple(tables), tuple(utilities), decisions)
+    return DeployedDid(did.slices, nodes, tables, utilities, decisions)
 
 
 def table_entry_count(did: DeployedDid) -> int:
@@ -428,6 +422,20 @@ def table_entry_count(did: DeployedDid) -> int:
 # Output formats
 
 
+class _Names(dict):
+    """Each node's printed name, formatted once.  An id that is not a node
+    of the diagram, which only a hand-built one can hold, still renders."""
+
+    def __init__(self, did: DeployedDid):
+        super().__init__((n.id, node_name(n.id)) for n in did.nodes)
+
+    def __missing__(self, node: NodeId) -> str:
+        return node_name(node)
+
+    def join(self, ids) -> str:
+        return " ".join(map(self.__getitem__, ids))
+
+
 def serialize_deployed(did: DeployedDid) -> str:
     """Canonical text rendering of a deployed diagram.
 
@@ -437,37 +445,32 @@ def serialize_deployed(did: DeployedDid) -> str:
     """
     from ._fmt import fmt_float, fmt_int
 
+    name = _Names(did)
     out = ["deployed 1"]
-    out.append("slices " + " ".join(fmt_int(i) for i in did.slices))
+    out.append("slices " + " ".join(map(fmt_int, did.slices)))
     src_of = {t.node: t.parents[0] for t in did.tables if did.node(t.node).kind == COPY}
     for n in did.nodes:
         if n.kind == COPY:
-            out.append(f"copy {node_name(n.id)} of {node_name(src_of[n.id])}")
+            out.append(f"copy {name[n.id]} of {name[src_of[n.id]]}")
         elif n.kind == VALUE:
-            out.append(f"value {node_name(n.id)}")
+            out.append(f"value {name[n.id]}")
         else:
-            out.append(f"{n.kind} {node_name(n.id)} : " + " ".join(n.states))
-    for src, dst in sorted(did.arcs):
-        out.append(f"arc {node_name(src)} {node_name(dst)}")
+            out.append(f"{n.kind} {name[n.id]} : " + " ".join(n.states))
+    out.extend(f"arc {name[src]} {name[dst]}" for src, dst in sorted(did.arcs))
     for t in sorted(did.tables, key=lambda t: t.node):
-        if did.node(t.node).kind == COPY:
+        if t.node in src_of:
             continue
-        rows = " , ".join(" ".join(fmt_float(x) for x in row) for row in t.rows)
-        parents = " ".join(node_name(p) for p in t.parents)
-        out.append(
-            f"cpt {node_name(t.node)} |{' ' + parents if parents else ''} : {rows}"
-        )
+        rows = " , ".join(" ".join(map(fmt_float, row)) for row in t.rows)
+        parents = name.join(t.parents)
+        out.append(f"cpt {name[t.node]} |{' ' + parents if parents else ''} : {rows}")
     for u in sorted(did.utilities, key=lambda u: u.node):
-        parents = " ".join(node_name(p) for p in u.parents)
-        vals = " ".join(fmt_float(x) for x in u.values)
-        out.append(
-            f"util {node_name(u.node)} |{' ' + parents if parents else ''} : {vals}"
-        )
-    for d, obs in did.info:
-        out.append(f"info {node_name(d)} : " + " ".join(node_name(o) for o in obs))
+        parents = name.join(u.parents)
+        vals = " ".join(map(fmt_float, u.values))
+        out.append(f"util {name[u.node]} |{' ' + parents if parents else ''} : {vals}")
+    out.extend(f"info {name[d]} : " + name.join(obs) for d, obs in did.info)
     if did.decision_order:
-        out.append("order " + " ".join(node_name(d) for d in did.decision_order))
-    out.append("super " + " ".join(node_name(v) for v in did.value_nodes))
+        out.append("order " + name.join(did.decision_order))
+    out.append("super " + name.join(did.value_nodes))
     return "\n".join(out) + "\n"
 
 
@@ -476,16 +479,13 @@ _DOT_SHAPE = {CHANCE: "ellipse", DECISION: "box", VALUE: "diamond", COPY: "ellip
 
 def emit_dot(did: DeployedDid) -> str:
     """Graph-description text for visualization."""
+    name = _Names(did)
     out = ["digraph deployed {", "  rankdir=LR;"]
     for n in did.nodes:
         style = ', style=dashed' if n.kind == COPY else ""
-        out.append(
-            f'  "{node_name(n.id)}" [shape={_DOT_SHAPE[n.kind]}{style}];'
-        )
+        out.append(f'  "{name[n.id]}" [shape={_DOT_SHAPE[n.kind]}{style}];')
     out.append('  "super" [shape=doublecircle];')
-    for src, dst in sorted(did.arcs):
-        out.append(f'  "{node_name(src)}" -> "{node_name(dst)}";')
-    for v in did.value_nodes:
-        out.append(f'  "{node_name(v)}" -> "super";')
+    out.extend(f'  "{name[src]}" -> "{name[dst]}";' for src, dst in sorted(did.arcs))
+    out.extend(f'  "{name[v]}" -> "super";' for v in did.value_nodes)
     out.append("}")
     return "\n".join(out) + "\n"

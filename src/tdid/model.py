@@ -22,6 +22,7 @@ import math
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import groupby
 
 __all__ = [
     "CHANCE",
@@ -204,7 +205,9 @@ def parent_signature(
     Instantaneous parents come first, then time-lag parents, each in arc
     declaration order.  A lag parent is present only when the parent's
     sequence has some index strictly before ``i``: its first index, since
-    callers pass models whose sequences are strictly increasing.
+    callers pass models whose sequences are strictly increasing.  When every
+    sequence starts at ``master[0]``, as ``validate`` requires, the signature
+    is therefore the same at every index but the first.
     """
     sig = [(a.src, INST) for a in model.arcs_into(name, INST)]
     for a in model.arcs_into(name, LAG):
@@ -299,21 +302,18 @@ def validate(model: CondensedTdid) -> list[str]:
         if v.kind == DECISION:
             continue
         label = "cpd" if v.kind == CHANCE else "utility"
-        has_stationary = (v.name, None) in covered
-        for i in v.times:
-            if (v.name, i) in covered:
-                continue
-            if has_stationary:
-                # The stationary table must fit this index's parent set.
-                t = model.table_for(v.name, i)
-                want = parent_signature(model, v.name, i)
-                if t is not None and sorted(t.parents) != sorted(want):
-                    out.append(
-                        f"{label} {v.name} @ *: parents {_sig(t.parents)} do not "
-                        f"match {_sig(want)} required at index {i}"
-                    )
-                continue
-            out.append(f"{v.name}: no {label} covers index {i}")
+        uncovered = [i for i in v.times if (v.name, i) not in covered]
+        if (v.name, None) not in covered:
+            out.extend(f"{v.name}: no {label} covers index {i}" for i in uncovered)
+            continue
+        # Fit the stationary table to each parent set once (see parent_signature).
+        for _, same in groupby(uncovered, key=lambda i: i == v.times[0]):
+            same = list(same)
+            t = model.table_for(v.name, same[0])
+            want = parent_signature(model, v.name, same[0])
+            if sorted(t.parents) != sorted(want):
+                misfit = f"{label} {v.name} @ *: parents {_sig(t.parents)} do not match"
+                out.extend(f"{misfit} {_sig(want)} required at index {i}" for i in same)
 
     return out
 

@@ -22,3 +22,15 @@ def test_demo_runs(demo, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
+
+
+def test_selection_demo_prints_no_temporary_path(tmp_path):
+    demo = next(d for d in DEMOS if d.stem.startswith("05_"))
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, TMPDIR=str(tmp_path))
+    proc = subprocess.run(
+        [sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert str(tmp_path) not in proc.stdout
+    assert "tdid_kb_" not in proc.stdout

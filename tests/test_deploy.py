@@ -17,7 +17,10 @@ from tdid.deploy import (
     table_entry_count,
 )
 
+from conftest import cardiac_text
 from gen import random_model
+from tdid._fmt import fmt_float, fmt_int
+from tdid.deploy import DeployedDid
 
 
 def two_var(fixtures_dir):
@@ -510,3 +513,135 @@ def test_decision_order_matches_unrestricted_ancestor_walk():
         not_by_name += did.decision_order != by_name
     # Some draws order a slice's decisions by influence, not by name.
     assert not_by_name
+
+
+# --- renderers, collapse and order on long and random diagrams ----------------
+
+
+def reference_serialize(did):
+    """serialize_deployed as a plain loop that formats every id with
+    node_name where it is printed."""
+    out = ["deployed 1", "slices " + " ".join(fmt_int(i) for i in did.slices)]
+    src_of = {t.node: t.parents[0] for t in did.tables if did.node(t.node).kind == COPY}
+    for n in did.nodes:
+        if n.kind == COPY:
+            out.append(f"copy {node_name(n.id)} of {node_name(src_of[n.id])}")
+        elif n.kind == VALUE:
+            out.append(f"value {node_name(n.id)}")
+        else:
+            out.append(f"{n.kind} {node_name(n.id)} : " + " ".join(n.states))
+    for src, dst in sorted(did.arcs):
+        out.append(f"arc {node_name(src)} {node_name(dst)}")
+    for t in sorted(did.tables, key=lambda t: t.node):
+        if did.node(t.node).kind == COPY:
+            continue
+        rows = " , ".join(" ".join(fmt_float(x) for x in row) for row in t.rows)
+        parents = " ".join(node_name(p) for p in t.parents)
+        out.append(f"cpt {node_name(t.node)} |{' ' + parents if parents else ''} : {rows}")
+    for u in sorted(did.utilities, key=lambda u: u.node):
+        parents = " ".join(node_name(p) for p in u.parents)
+        vals = " ".join(fmt_float(x) for x in u.values)
+        out.append(f"util {node_name(u.node)} |{' ' + parents if parents else ''} : {vals}")
+    for d, obs in did.info:
+        out.append(f"info {node_name(d)} : " + " ".join(node_name(o) for o in obs))
+    if did.decision_order:
+        out.append("order " + " ".join(node_name(d) for d in did.decision_order))
+    out.append("super " + " ".join(node_name(v) for v in did.value_nodes))
+    return "\n".join(out) + "\n"
+
+
+def reference_dot(did):
+    """emit_dot as a plain loop that calls node_name per id."""
+    shape = {"chance": "ellipse", "decision": "box", "value": "diamond", COPY: "ellipse"}
+    out = ["digraph deployed {", "  rankdir=LR;"]
+    for n in did.nodes:
+        style = ", style=dashed" if n.kind == COPY else ""
+        out.append(f'  "{node_name(n.id)}" [shape={shape[n.kind]}{style}];')
+    out.append('  "super" [shape=doublecircle];')
+    for src, dst in sorted(did.arcs):
+        out.append(f'  "{node_name(src)}" -> "{node_name(dst)}";')
+    for v in did.value_nodes:
+        out.append(f'  "{node_name(v)}" -> "super";')
+    out.append("}")
+    return "\n".join(out) + "\n"
+
+
+def cardiac_shape(shape, horizon=40):
+    """Cardiac at ``horizon`` slices: dense, copy-heavy (poa and CD indexed
+    every fourth slice) or barren-heavy (U_dmg only at slice 1)."""
+    text = cardiac_text(horizon)
+    if shape == "copy-heavy":
+        grid = " ".join(str(i) for i in range(1, horizon + 1, 4))
+        for var in ("poa : long short", "CD : present absent"):
+            text = text.replace(f"chance {var}\n", f"chance {var} ; times {grid}\n")
+    elif shape == "barren-heavy":
+        text = text.replace("value U_dmg\n", "value U_dmg ; times 1\n")
+    return parse(text)
+
+
+def deployed_forms(m):
+    raw = deploy(m, barren=False)
+    barren = eliminate_barren(raw)
+    return raw, barren, collapse_copies(raw), collapse_copies(barren)
+
+
+@pytest.mark.parametrize("shape", ["dense", "copy-heavy", "barren-heavy"])
+def test_renderers_match_per_id_reference_on_long_cardiac(shape):
+    m = cardiac_shape(shape)
+    if shape == "copy-heavy":
+        assert any(n.kind == COPY for n in deploy(m).nodes)
+    for did in deployed_forms(m):
+        assert serialize_deployed(did) == reference_serialize(did)
+        assert emit_dot(did) == reference_dot(did)
+
+
+def test_renderers_match_per_id_reference_on_random_models():
+    rng = np.random.default_rng(4242)
+    for _ in range(400):
+        m = random_model(rng, max_deployed_nonvalue=12, max_decisions=4)
+        for did in deployed_forms(m):
+            assert serialize_deployed(did) == reference_serialize(did)
+            assert emit_dot(did) == reference_dot(did)
+
+
+def test_renderers_name_an_id_that_is_not_a_node():
+    did = deploy(cardiac_shape("dense", horizon=3))
+    gone = did.decision_order[0]
+    hand_built = DeployedDid(
+        did.slices,
+        tuple(n for n in did.nodes if n.id != gone),
+        did.tables,
+        did.utilities,
+        did.decisions,
+    )
+    text = serialize_deployed(hand_built)
+    assert text == reference_serialize(hand_built)
+    assert f"info {node_name(gone)} :" in text
+    assert emit_dot(hand_built) == reference_dot(hand_built)
+
+
+def test_collapse_keeps_copy_free_tables_as_they_are():
+    did = deploy(cardiac_shape("dense"))
+    assert not any(n.kind == COPY for n in did.nodes)
+    out = collapse_copies(did)
+    assert out.tables == did.tables
+    assert out.utilities == did.utilities
+    kept = zip(out.tables + out.utilities, did.tables + did.utilities)
+    assert all(a is b for a, b in kept)
+
+
+def test_collapse_keeps_every_table_that_reads_no_copy():
+    did = deploy(cardiac_shape("copy-heavy"))
+    copies = {n.id for n in did.nodes if n.kind == COPY}
+    assert copies
+    before = {t.node: t for t in did.tables + did.utilities if t.node not in copies}
+    out = collapse_copies(did)
+    after = {t.node: t for t in out.tables + out.utilities}
+    assert after.keys() == before.keys()
+    untouched = [n for n, t in before.items() if copies.isdisjoint(t.parents)]
+    rewired = [n for n, t in before.items() if not copies.isdisjoint(t.parents)]
+    assert untouched and rewired
+    for n in untouched:
+        assert after[n] == before[n]
+    for n in rewired:
+        assert copies.isdisjoint(after[n].parents)

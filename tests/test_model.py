@@ -428,3 +428,31 @@ def test_table_for_precedence_with_repeated_tables():
     assert m.table_for("U", 1) is utils[0]
     assert m.table_for("U", 2) is utils[1]
     assert_table_for_matches_scan(m)
+
+
+LAGGED_STATIONARY = """\
+tdid 1
+master 1 2 3 4 5
+chance X : a b
+value U
+arc lag X X
+arc inst X U
+cpt X @ 3 | X : 0.5 0.5 , 0.5 0.5
+cpt X @ * | {parents}: 0.5 0.5{rows}
+util U @ * | X : 1 0
+"""
+
+
+def test_stationary_table_misfit_is_reported_at_every_index_it_covers():
+    # At index 1 X has no lag parent; at 2, 4 and 5 it has X/lag, and 3 has
+    # its own table.
+    m = parse(LAGGED_STATIONARY.format(parents="", rows=""))
+    assert validate(m) == [
+        "cpd X @ *: parents (none) do not match X/lag required at index 2",
+        "cpd X @ *: parents (none) do not match X/lag required at index 4",
+        "cpd X @ *: parents (none) do not match X/lag required at index 5",
+    ]
+    m = parse(LAGGED_STATIONARY.format(parents="X ", rows=" , 0.5 0.5"))
+    assert validate(m) == [
+        "cpd X @ *: parents X/lag do not match (none) required at index 1",
+    ]
