@@ -17,7 +17,6 @@ plus every earlier decision; only the informational parents are stored.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
@@ -28,7 +27,6 @@ from .model import (
     CHANCE,
     DECISION,
     INST,
-    LAG,
     VALUE,
     CondensedTdid,
     ModelError,
@@ -44,8 +42,6 @@ __all__ = [
     "DeployedUtility",
     "DeployedDid",
     "node_name",
-    "partition",
-    "resolve_parents",
     "deploy",
     "eliminate_barren",
     "collapse_copies",
@@ -168,62 +164,8 @@ class DeployedDid:
     def info_by_decision(self) -> dict[NodeId, tuple[NodeId, ...]]:
         return dict(self.info)
 
-    @cached_property
-    def children(self) -> dict[NodeId, tuple[NodeId, ...]]:
-        out: dict[NodeId, list[NodeId]] = {n.id: [] for n in self.nodes}
-        for src, dst in self.arcs:
-            out[src].append(dst)
-        return {k: tuple(v) for k, v in out.items()}
-
 
 # ---------------------------------------------------------------------------
-
-
-def partition(
-    master: tuple[int, ...], node_times: tuple[int, ...]
-) -> tuple[tuple[int, ...], ...]:
-    """Split the master sequence into contiguous groups led by node indices.
-
-    Every master index joins the group of the largest node index ≤ it.
-    """
-    times = set(node_times)
-    if not times <= set(master):
-        raise ModelError("node times are not a subset of the master sequence")
-    if not node_times or node_times[0] != master[0]:
-        raise ModelError("node times must start at the master's first index")
-    groups: list[list[int]] = []
-    for i in master:
-        if i in times:
-            groups.append([i])
-        else:
-            groups[-1].append(i)
-    return tuple(tuple(g) for g in groups)
-
-
-def resolve_parents(model: CondensedTdid, name: str, i: int) -> tuple[NodeId, ...]:
-    """Deployed parents of variable ``name`` at index ``i``.
-
-    Instantaneous parents map to the same slice (a copy node when the
-    parent is not indexed there); a time-lag parent maps to its most recent
-    indexed slice strictly before ``i``, and is absent when none exists.
-    Order: instantaneous then lag, each in arc declaration order.
-    """
-    if i not in model.variable(name).times:
-        raise ModelError(f"{name} is not indexed at time {i}")
-    return _place(model, parent_signature(model, name, i), i)
-
-
-def _place(
-    model: CondensedTdid, signature: tuple[tuple[str, str], ...], i: int
-) -> tuple[NodeId, ...]:
-    out = []
-    for pname, role in signature:
-        if role == INST:
-            out.append((pname, i))
-        else:
-            times = model.variable(pname).times
-            out.append((pname, times[bisect_left(times, i) - 1]))
-    return tuple(out)
 
 
 def deploy(model: CondensedTdid, *, barren: bool = True) -> DeployedDid:
@@ -241,34 +183,50 @@ def deploy(model: CondensedTdid, *, barren: bool = True) -> DeployedDid:
     tables: list[DeployedTable] = []
     utilities: list[DeployedUtility] = []
     parents_of: dict[NodeId, tuple[NodeId, ...]] = {}
+    # Each variable's most recent indexed slice strictly before the slice
+    # being deployed: where a lag arc from it, or a copy of it, reads.
+    prev: dict[str, int] = {}
 
+    def place(signature, i: int) -> tuple[NodeId, ...]:
+        """Deployed parents at slice ``i``; a lag parent with no earlier
+        indexed slice is absent."""
+        return tuple(
+            (p, i) if role == INST else (p, prev[p])
+            for p, role in signature
+            if role == INST or p in prev
+        )
+
+    # A decision's parents at every index but the first (see
+    # ``parent_signature``); at the first, ``prev`` is empty and ``place``
+    # drops the lag parents.
+    decision_parents = {
+        v.name: parent_signature(model, v.name, model.master[-1])
+        for v in model.variables
+        if v.kind == DECISION
+    }
     indexed = [(v, set(v.times)) for v in model.variables]
     for i in model.master:
         for v, times in indexed:
-            if i in times:
-                nodes.append(SliceNode(v.name, i, v.kind, v.states))
-            elif v.kind != VALUE:  # value variables get no copies
-                nodes.append(SliceNode(v.name, i, COPY, v.states))
-
-    for n in nodes:
-        if n.kind == COPY:
-            # A copy's slice is not indexed, so its group's start is the
-            # slice a lag arc from the variable itself would read.
-            parents = parents_of[n.id] = _place(model, ((n.base, LAG),), n.slice)
-            k = len(n.states)
-            ident = tuple(tuple(float(c == r) for c in range(k)) for r in range(k))
-            tables.append(DeployedTable(n.id, parents, ident))
-            continue
-        if n.kind == DECISION:
-            signature = parent_signature(model, n.base, n.slice)
-            parents_of[n.id] = _place(model, signature, n.slice)
-            continue
-        t = model.table_for(n.base, n.slice)
-        parents = parents_of[n.id] = _place(model, t.parents, n.slice)
-        if n.kind == CHANCE:
-            tables.append(DeployedTable(n.id, parents, t.table))
-        else:
-            utilities.append(DeployedUtility(n.id, parents, t.values))
+            nid = (v.name, i)
+            if i not in times:
+                if v.kind != VALUE:  # value variables get no copies
+                    nodes.append(SliceNode(v.name, i, COPY, v.states))
+                    parents = parents_of[nid] = ((v.name, prev[v.name]),)
+                    k = range(len(v.states))
+                    ident = tuple(tuple(float(c == r) for c in k) for r in k)
+                    tables.append(DeployedTable(nid, parents, ident))
+                continue
+            nodes.append(SliceNode(v.name, i, v.kind, v.states))
+            if v.kind == DECISION:
+                parents_of[nid] = place(decision_parents[v.name], i)
+                continue
+            t = model.table_for(v.name, i)
+            parents = parents_of[nid] = place(t.parents, i)
+            if v.kind == CHANCE:
+                tables.append(DeployedTable(nid, parents, t.table))
+            else:
+                utilities.append(DeployedUtility(nid, parents, t.values))
+        prev.update((v.name, i) for v, times in indexed if i in times)
 
     did = DeployedDid(
         model.master,
@@ -441,12 +399,14 @@ def serialize_deployed(did: DeployedDid) -> str:
 
     Nodes appear slice by slice; copies print as ``copy X@2 of X@1``
     (their identity tables are implied).  The ``super`` line lists the
-    value nodes summed by the implicit super value node.
+    value nodes summed by the implicit super value node.  Each ``info``
+    line lists a decision's informational parents only: that it also
+    observes every earlier decision is implied by the ``order`` line.
     """
     from ._fmt import fmt_float, fmt_int
 
     name = _Names(did)
-    out = ["deployed 1"]
+    out = ["deployed 2"]
     out.append("slices " + " ".join(map(fmt_int, did.slices)))
     src_of = {t.node: t.parents[0] for t in did.tables if did.node(t.node).kind == COPY}
     for n in did.nodes:
@@ -467,7 +427,7 @@ def serialize_deployed(did: DeployedDid) -> str:
         parents = name.join(u.parents)
         vals = " ".join(map(fmt_float, u.values))
         out.append(f"util {name[u.node]} |{' ' + parents if parents else ''} : {vals}")
-    out.extend(f"info {name[d]} : " + name.join(obs) for d, obs in did.info)
+    out.extend(f"info {name[d]} : " + name.join(obs) for d, obs in did.decisions)
     if did.decision_order:
         out.append("order " + name.join(did.decision_order))
     out.append("super " + name.join(did.value_nodes))

@@ -45,7 +45,6 @@ __all__ = [
     "solve_entry",
     "estimate_cost",
     "with_cost",
-    "comprehensive_value",
     "quality",
     "evc",
     "select",
@@ -237,13 +236,6 @@ def solve_entry(entry: SuiteEntry) -> tuple[SuiteEntry, Policy]:
     """Solve the entry's model; fill in its quality."""
     policy = solve(_deployed(entry.model))
     return replace(entry, quality=policy.meu), policy
-
-
-def comprehensive_value(entry: SuiteEntry) -> float:
-    """Object-level utility minus deliberation cost, in utility units."""
-    if entry.quality is None:
-        raise MetareasonError(f"entry {entry.name!r} is unsolved; no quality yet")
-    return entry.quality - entry.cost_time
 
 
 def _sweep(suite, times):

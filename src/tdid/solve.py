@@ -68,7 +68,8 @@ ORACLE_CAP = 10**6
 # frontiers (the cells one step's einsum loops over) or whose bound on
 # search branches exceeds these.  Cardiac at T=8 needs 69,984 cells (2,187
 # frontiers of 32) and 335,922 branches, about 2 s on a 2-vCPU VM; its
-# 2,015,538 branches at T=9 are refused.
+# 2,015,538 branches at T=9 are refused.  ``brute_force`` refuses a dense
+# joint of more than FRONTIER_CAP cells too.
 FRONTIER_CAP = 2**22
 SEARCH_CAP = 10**6
 _LETTERS = string.ascii_letters  # einsum's subscript alphabet
@@ -89,7 +90,7 @@ class CapError(SolveError):
 
 
 class OracleCapError(CapError):
-    """The brute-force policy space exceeds the configured cap."""
+    """The brute-force policy space or dense joint exceeds its cap."""
 
 
 class SolveCapError(CapError):
@@ -815,12 +816,19 @@ def brute_force(did: DeployedDid) -> Policy:
 
     Policies are enumerated lexicographically (decisions in decision
     order, observation states in row order, options ascending) and the
-    first maximum is kept, matching ``solve``'s tie-breaking.
+    first maximum is kept, matching ``solve``'s tie-breaking.  Before
+    allocating anything it refuses more than ``ORACLE_CAP`` policies or a
+    dense joint of more than ``FRONTIER_CAP`` cells (``OracleCapError``).
     """
     size = policy_space_size(did)
     if size > ORACLE_CAP:
         raise OracleCapError(
             f"policy space has {size} policies, above the cap of {ORACLE_CAP}"
+        )
+    cells = math.prod(_domains(did).values())
+    if cells > FRONTIER_CAP:
+        raise OracleCapError(
+            f"dense joint has {cells} cells, above the cap of {FRONTIER_CAP}"
         )
     dense = _Dense(did)
     per_entry: list[range] = []

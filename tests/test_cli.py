@@ -101,7 +101,7 @@ def test_validate_parse_error(capsys, tmp_path):
 def test_deploy_stdout(capsys, fixtures_dir):
     code, out, err = run(capsys, "deploy", fixtures_dir / "two_var_lagged.tdid")
     assert code == 0
-    assert out.startswith("deployed 1\n")
+    assert out.startswith("deployed 2\n")
     assert "copy X@2 of X@1" in out
 
 
@@ -116,7 +116,7 @@ def test_deploy_to_file_and_dot(capsys, tmp_path, fixtures_dir):
         "--emit-dot",
     )
     assert code == 0
-    assert out_path.read_text().startswith("deployed 1\n")
+    assert out_path.read_text().startswith("deployed 2\n")
     assert out.startswith("digraph")  # stdout carries only the DOT text
 
 
@@ -178,6 +178,21 @@ def test_solve_oracle_cap(capsys, one_decision, monkeypatch):
     monkeypatch.setattr("tdid.solve.ORACLE_CAP", 2)
     code, _, err = run(capsys, "solve", one_decision, "--oracle")
     assert code == 4 and "error:" in err
+
+
+def test_solve_oracle_refuses_dense_joint_before_allocating(capsys, tmp_path):
+    # Cardiac at T=6 with one treatment has 4 policies, but its dense joint
+    # has 2^30 cells (8 GiB): the oracle refuses before building it.
+    path = tmp_path / "cardiac-6-once.tdid"
+    path.write_text(
+        cardiac_text(6).replace(
+            "decision treat : aggressive standard\n",
+            "decision treat : aggressive standard ; times 1\n",
+        )
+    )
+    code, out, err = run(capsys, "solve", path, "--oracle")
+    assert (code, out) == (4, "")
+    assert err == "error: dense joint has 1073741824 cells, above the cap of 4194304\n"
 
 
 def test_solve_oracle_mismatch_exit(capsys, one_decision, monkeypatch):
@@ -631,11 +646,15 @@ def test_model_cli_fuzz(tmp_path, source, mutations, command):
     source=st.sampled_from(sorted(FUZZ_SOURCES)),
     mutations=st.lists(MUTATION, min_size=1, max_size=4),
 )
-def test_solve_cli_fuzz(tmp_path, source, mutations):
-    # A mutation that widens a model meets the solver preflight (exit 4)
-    # before anything is allocated: never a MemoryError traceback.
+def test_solve_cli_fuzz(tmp_path, monkeypatch, source, mutations):
+    # A mutation that widens a model meets the solver's or the oracle's
+    # preflight (exit 4) before anything is allocated: never a MemoryError
+    # traceback.  The lowered policy cap keeps the oracle to a fraction of
+    # a second per example: cardiac's 16,384 policies take about 17 s on a
+    # 2-vCPU VM, and are refused instead, through the same exit-4 path.
+    monkeypatch.setattr("tdid.solve.ORACLE_CAP", 256)
     path = tmp_path / "fuzz.tdid"
     path.write_text(mutate(FUZZ_SOURCES[source], mutations))
-    code, err = run_quiet(["solve", str(path)])
+    code, err = run_quiet(["solve", str(path), "--oracle"])
     assert code in (0, 1, 2, 3, 4)
     assert "Traceback" not in err

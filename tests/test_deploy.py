@@ -11,8 +11,6 @@ from tdid.deploy import (
     eliminate_barren,
     emit_dot,
     node_name,
-    partition,
-    resolve_parents,
     serialize_deployed,
     table_entry_count,
 )
@@ -31,46 +29,45 @@ def cardiac(fixtures_dir):
     return parse((fixtures_dir / "cardiac.tdid").read_bytes())
 
 
-# --- partition -------------------------------------------------------------
-
-
-def test_partition_groups_by_largest_member_below():
-    assert partition((1, 2, 3, 4), (1, 3)) == ((1, 2), (3, 4))
-    assert partition((1, 2, 3, 4, 5), (1, 4)) == ((1, 2, 3), (4, 5))
-
-
-def test_partition_identity_when_sequences_equal():
-    assert partition((1, 2, 3), (1, 2, 3)) == ((1,), (2,), (3,))
-
-
-def test_partition_rejects_bad_inputs():
-    with pytest.raises(ModelError):
-        partition((1, 2), (1, 3))
-    with pytest.raises(ModelError):
-        partition((1, 2), (2,))
-
-
-# --- resolve_parents ---------------------------------------------------------
+# --- parents ---------------------------------------------------------------
 
 
 def test_lag_parent_is_most_recent_prior_indexed_slice(fixtures_dir):
-    m = two_var(fixtures_dir)
-    assert resolve_parents(m, "X", 3) == (("Y", 2),)
+    parents = deploy(two_var(fixtures_dir), barren=False).parents_of
+    assert parents[("X", 3)] == (("Y", 2),)
 
 
 def test_no_lag_parent_at_first_index(fixtures_dir):
-    m = two_var(fixtures_dir)
-    assert resolve_parents(m, "X", 1) == ()
+    parents = deploy(two_var(fixtures_dir), barren=False).parents_of
+    assert parents[("X", 1)] == ()
 
 
 def test_inst_parent_through_copy_slice(fixtures_dir):
-    m = two_var(fixtures_dir)
-    assert resolve_parents(m, "Y", 2) == (("X", 2),)  # X@2 is a copy of X@1
+    parents = deploy(two_var(fixtures_dir), barren=False).parents_of
+    assert parents[("Y", 2)] == (("X", 2),)  # X@2 is a copy of X@1
 
 
-def test_resolve_parents_requires_indexed_slice(fixtures_dir):
-    with pytest.raises(ModelError):
-        resolve_parents(two_var(fixtures_dir), "X", 2)
+def test_non_indexed_slice_is_a_copy_node(fixtures_dir):
+    did = deploy(two_var(fixtures_dir), barren=False)
+    assert did.node(("X", 2)).kind == COPY
+    assert did.parents_of[("X", 2)] == (("X", 1),)
+
+
+def test_lag_parent_skips_copies_of_the_parent(fixtures_dir):
+    # Y reads X both instantaneously and lagged.  At slice 3 the lag reads
+    # X's most recent indexed slice, X@1, not the copy X@2 in between.
+    text = (fixtures_dir / "two_var_lagged.tdid").read_text()
+    text = text.replace("arc lag Y X\n", "arc lag Y X\narc lag X Y\n")
+    text = text.replace(
+        "cpt Y @ * | X : 0.9 0.1 , 0.25 0.75\n",
+        "cpt Y @ 1 | X : 0.9 0.1 , 0.25 0.75\n"
+        "cpt Y @ * | X X : 0.9 0.1 , 0.5 0.5 , 0.4 0.6 , 0.25 0.75\n",
+    )
+    parents = deploy(parse(text), barren=False).parents_of
+    assert parents[("Y", 1)] == (("X", 1),)
+    assert parents[("Y", 2)] == (("X", 2), ("X", 1))
+    assert parents[("Y", 3)] == (("X", 3), ("X", 1))
+    assert parents[("Y", 4)] == (("X", 4), ("X", 3))
 
 
 # --- deploy ------------------------------------------------------------------
@@ -364,7 +361,10 @@ def test_barren_rule_matches_reference_fixpoint():
         out = eliminate_barren(did)
         assert ({n.id for n in out.nodes}, out.decision_order) == fixpoint_barren(did)
         removed_decision += len(out.decision_order) < len(did.decision_order)
-        kept_childless_decision += any(not out.children[d] for d in out.decision_order)
+        with_children = {src for src, _ in out.arcs}
+        kept_childless_decision += any(
+            d not in with_children for d in out.decision_order
+        )
     # The draws exercise both halves of the decision rule.
     assert removed_decision and kept_childless_decision
 
@@ -521,7 +521,7 @@ def test_decision_order_matches_unrestricted_ancestor_walk():
 def reference_serialize(did):
     """serialize_deployed as a plain loop that formats every id with
     node_name where it is printed."""
-    out = ["deployed 1", "slices " + " ".join(fmt_int(i) for i in did.slices)]
+    out = ["deployed 2", "slices " + " ".join(fmt_int(i) for i in did.slices)]
     src_of = {t.node: t.parents[0] for t in did.tables if did.node(t.node).kind == COPY}
     for n in did.nodes:
         if n.kind == COPY:
@@ -542,8 +542,8 @@ def reference_serialize(did):
         parents = " ".join(node_name(p) for p in u.parents)
         vals = " ".join(fmt_float(x) for x in u.values)
         out.append(f"util {node_name(u.node)} |{' ' + parents if parents else ''} : {vals}")
-    for d, obs in did.info:
-        out.append(f"info {node_name(d)} : " + " ".join(node_name(o) for o in obs))
+    for d, parents in did.decisions:
+        out.append(f"info {node_name(d)} : " + " ".join(node_name(p) for p in parents))
     if did.decision_order:
         out.append("order " + " ".join(node_name(d) for d in did.decision_order))
     out.append("super " + " ".join(node_name(v) for v in did.value_nodes))

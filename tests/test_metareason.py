@@ -19,7 +19,6 @@ from tdid.metareason import (
     Problem,
     SuiteEntry,
     UrgencyFunction,
-    comprehensive_value,
     construct,
     estimate_cost,
     evc,
@@ -146,13 +145,6 @@ def test_with_cost_and_validation():
     for cost in (-2.0, math.nan, math.inf):
         with pytest.raises(MetareasonError):
             entry("m", 1.0, cost)
-
-
-def test_comprehensive_value():
-    assert comprehensive_value(entry("m2", 9.0, 4.0)) == 5.0
-    assert comprehensive_value(entry("m", 3.0, 3.0)) == 0.0  # break-even
-    with pytest.raises(MetareasonError, match="unsolved"):
-        comprehensive_value(entry("m", None, 1.0))
 
 
 # ---------------------------------------------------------------------------
