@@ -417,15 +417,25 @@ def serialize_deployed(did: DeployedDid) -> str:
         else:
             out.append(f"{n.kind} {name[n.id]} : " + " ".join(n.states))
     out.extend(f"arc {name[src]} {name[dst]}" for src, dst in sorted(did.arcs))
+    # Unrolled slices share a few table bodies among many nodes: format each
+    # once.  Keyed by identity, not value: -0.0 == 0.0 but prints as "-0".
+    body: dict = {}
     for t in sorted(did.tables, key=lambda t: t.node):
         if t.node in src_of:
             continue
-        rows = " , ".join(" ".join(map(fmt_float, row)) for row in t.rows)
+        rows = body.get(id(t.rows))
+        if rows is None:
+            rows = " , ".join(" ".join(map(fmt_float, r)) for r in t.rows)
+            body[id(t.rows)] = rows
         parents = name.join(t.parents)
         out.append(f"cpt {name[t.node]} |{' ' + parents if parents else ''} : {rows}")
+    body = {}
     for u in sorted(did.utilities, key=lambda u: u.node):
         parents = name.join(u.parents)
-        vals = " ".join(map(fmt_float, u.values))
+        vals = body.get(id(u.values))
+        if vals is None:
+            vals = " ".join(map(fmt_float, u.values))
+            body[id(u.values)] = vals
         out.append(f"util {name[u.node]} |{' ' + parents if parents else ''} : {vals}")
     out.extend(f"info {name[d]} : " + name.join(obs) for d, obs in did.decisions)
     if did.decision_order:

@@ -384,9 +384,25 @@ class _Record:
 _records: dict[str, _Record] = {}
 
 
+# Non-blocking, so that a FIFO in the knowledge base reads as empty (and
+# fails the load) instead of waiting for a writer.
+_READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0) | getattr(os, "O_NONBLOCK", 0)
+
+
 def _read(path: str) -> bytes:
-    with open(path, "rb") as f:
-        return f.read()
+    """The whole file, through raw descriptor calls: ``open()`` would build
+    a file object and a buffer for every file of every load."""
+    fd = os.open(path, _READ_FLAGS)
+    try:
+        chunks = []
+        while chunk := os.read(fd, 1 << 16):
+            chunks.append(chunk)
+    except OSError as err:
+        # os.read names no file (a directory fails here, not at os.open).
+        raise OSError(err.errno, err.strerror, path) from None
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
 
 
 def _load_entry(manifest: str) -> SuiteEntry:

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -445,6 +446,48 @@ def test_evc_curve_only(capsys, kb):
     report = json.loads(out)
     assert set(report) == {"t0", "curve", "t_star", "model"}
     assert report["t0"] == report["curve"][0]["t"]  # baseline anchors the curve
+
+
+needs_fifo = pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+
+
+@pytest.mark.parametrize(
+    "kind, role, code, error",
+    [
+        pytest.param(
+            "fifo", "entry", 1, "a.entry: missing cost, intervals, model, quality, space",
+            marks=needs_fifo,
+        ),
+        pytest.param(
+            "fifo", "model", 1, "full.entry: m.tdid: empty model file", marks=needs_fifo
+        ),
+        ("directory", "entry", 2, "[Errno 21] Is a directory: '{kb}/a.entry'"),
+        (
+            "directory", "model", 1,
+            "full.entry: cannot read model: [Errno 21] Is a directory: '{kb}/m.tdid'",
+        ),
+    ],
+    ids=["fifo-entry", "fifo-model", "directory-entry", "directory-model"],
+)
+def test_select_hostile_entry_fails_with_one_line(kb, kind, role, code, error):
+    # In a child process with a timeout, so that a read that blocks fails
+    # the test instead of hanging the suite.
+    make = os.mkfifo if kind == "fifo" else os.mkdir
+    if role == "entry":
+        make(kb / "a.entry")
+    else:
+        make(kb / "m.tdid")
+        set_manifest_field(kb / "full.entry", "model", "m.tdid")
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tdid", "select", str(kb), "--urgency", "linear:1"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=30,
+    )
+    assert (proc.returncode, proc.stderr) == (code, f"error: {error.format(kb=kb)}\n")
 
 
 # ---------------------------------------------------------------------------

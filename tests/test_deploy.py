@@ -568,9 +568,19 @@ def reference_dot(did):
 
 def cardiac_shape(shape, horizon=40):
     """Cardiac at ``horizon`` slices: dense, copy-heavy (poa and CD indexed
-    every fourth slice) or barren-heavy (U_dmg only at slice 1)."""
+    every fourth slice), barren-heavy (U_dmg only at slice 1) or
+    signed-zero (at slice 3, a -0 where every other slice has a 0)."""
     text = cardiac_text(horizon)
-    if shape == "copy-heavy":
+    if shape == "signed-zero":
+        cbf = "cpt cbf @ * | cr treat : 0.7 0.3 , 0.9 0.1 , 0.2 0.8 , 0.1 0.9\n"
+        u_surv = "util U_surv @ * | cr treat : 2 0 8 10\n"
+        text = text.replace(
+            cbf,
+            "cpt cbf @ * | cr treat : 0.7 0.3 , 0.9 0.1 , 0.2 0.8 , 1 0\n"
+            "cpt cbf @ 3 | cr treat : 0.7 0.3 , 0.9 0.1 , 0.2 0.8 , 1 -0\n",
+        )
+        text = text.replace(u_surv, u_surv + "util U_surv @ 3 | cr treat : 2 -0 8 10\n")
+    elif shape == "copy-heavy":
         grid = " ".join(str(i) for i in range(1, horizon + 1, 4))
         for var in ("poa : long short", "CD : present absent"):
             text = text.replace(f"chance {var}\n", f"chance {var} ; times {grid}\n")
@@ -585,11 +595,13 @@ def deployed_forms(m):
     return raw, barren, collapse_copies(raw), collapse_copies(barren)
 
 
-@pytest.mark.parametrize("shape", ["dense", "copy-heavy", "barren-heavy"])
+@pytest.mark.parametrize("shape", ["dense", "copy-heavy", "barren-heavy", "signed-zero"])
 def test_renderers_match_per_id_reference_on_long_cardiac(shape):
     m = cardiac_shape(shape)
     if shape == "copy-heavy":
         assert any(n.kind == COPY for n in deploy(m).nodes)
+    if shape == "signed-zero":
+        assert serialize_deployed(deploy(m)).count(" -0") == 2
     for did in deployed_forms(m):
         assert serialize_deployed(did) == reference_serialize(did)
         assert emit_dot(did) == reference_dot(did)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import os
 import shutil
 
 import numpy as np
@@ -443,6 +444,47 @@ def test_kb_reload_sees_rewritten_manifest(tmp_path, fixtures_dir):
     assert (after["full"].quality, after["full"].cost_time) == (7.5, 0.25)
     assert after["full"].model == before["full"].model
     assert after["coarse"] is before["coarse"]
+
+
+def test_kb_load_reads_both_files_of_every_entry(tmp_path, fixtures_dir, monkeypatch):
+    kb = build_kb(tmp_path, fixtures_dir)
+    reads, read = [], metareason._read
+
+    def counting_read(path):
+        reads.append(path)
+        return read(path)
+
+    monkeypatch.setattr(metareason, "_read", counting_read)
+    want = sorted(
+        str(kb / f) for f in ("full.entry", "full.tdid", "coarse.entry", "coarse.tdid")
+    )
+    for _ in ("cold", "warm"):
+        reads.clear()
+        load_kb(kb)
+        assert sorted(reads) == want
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+def test_kb_loads_leave_no_descriptor_open(tmp_path, fixtures_dir):
+    # A raw descriptor left open gives no ResourceWarning: count them.
+    kb = build_kb(tmp_path, fixtures_dir)
+    broken = []
+    for name, make in (
+        ("directory", lambda p: p.mkdir()),
+        ("missing", lambda p: None),
+        ("malformed", lambda p: p.write_text("tdid 1\nbogus\n")),
+    ):
+        path = shutil.copytree(kb, tmp_path / name)
+        (path / "full.tdid").unlink()
+        make(path / "full.tdid")
+        broken.append(path)
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(5):
+        load_kb(kb)
+        for path in broken:
+            with pytest.raises(MetareasonError, match="full.entry: "):
+                load_kb(path)
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 def build_solved_kb(tmp_path, fixtures_dir):
