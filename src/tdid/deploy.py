@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
+from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,20 +61,21 @@ def node_name(node: NodeId) -> str:
     return f"{node[0]}@{node[1]}"
 
 
-@dataclass(frozen=True)
-class SliceNode:
+def _no_node(node: NodeId) -> ModelError:
+    return ModelError(f"no deployed node {node_name(node)}")
+
+
+class SliceNode(NamedTuple):
     base: str
     slice: int
     kind: str  # chance | decision | value | copy
     states: tuple[str, ...]
 
-    @property
-    def id(self) -> NodeId:
-        return (self.base, self.slice)
+    # The node's id, (base, slice): a C-level getter, as every pass reads ids.
+    id = property(itemgetter(slice(0, 2)))
 
 
-@dataclass(frozen=True)
-class DeployedTable:
+class DeployedTable(NamedTuple):
     """Conditional distribution of one chance or copy node."""
 
     node: NodeId
@@ -80,8 +83,7 @@ class DeployedTable:
     rows: tuple[tuple[float, ...], ...]  # row per joint parent state, last fastest
 
 
-@dataclass(frozen=True)
-class DeployedUtility:
+class DeployedUtility(NamedTuple):
     """Additive utility contribution of one value node."""
 
     node: NodeId
@@ -143,7 +145,7 @@ class DeployedDid:
         try:
             return self._by_id[tuple(node)]
         except KeyError:
-            raise ModelError(f"no deployed node {node_name(node)}") from None
+            raise _no_node(node) from None
 
     def has_node(self, node: NodeId) -> bool:
         return tuple(node) in self._by_id
@@ -187,46 +189,55 @@ def deploy(model: CondensedTdid, *, barren: bool = True) -> DeployedDid:
     # being deployed: where a lag arc from it, or a copy of it, reads.
     prev: dict[str, int] = {}
 
-    def place(signature, i: int) -> tuple[NodeId, ...]:
-        """Deployed parents at slice ``i``; a lag parent with no earlier
-        indexed slice is absent."""
-        return tuple(
-            (p, i) if role == INST else (p, prev[p])
-            for p, role in signature
-            if role == INST or p in prev
-        )
-
-    # A decision's parents at every index but the first (see
-    # ``parent_signature``); at the first, ``prev`` is empty and ``place``
-    # drops the lag parents.
-    decision_parents = {
-        v.name: parent_signature(model, v.name, model.master[-1])
-        for v in model.variables
-        if v.kind == DECISION
+    # Nodes with a table of their own; every other indexed chance or value
+    # node takes its variable's stationary table.
+    explicit = {
+        (t.variable, t.time_index)
+        for t in model.cpds + model.utilities
+        if t.time_index is not None
     }
-    indexed = [(v, set(v.times)) for v in model.variables]
+    # Per variable, what its nodes share: its indices, one identity-rows
+    # tuple for all its copies, and its stationary table or, for a
+    # decision, its parents.  A decision's parents are the same at every
+    # index but the first (see ``parent_signature``); there ``prev`` is
+    # empty, so its lag parents drop out below.
+    plan = []
+    for v in model.variables:
+        k = range(len(v.states))
+        ident = tuple(tuple(float(c == r) for c in k) for r in k)
+        if v.kind == DECISION:
+            shared = parent_signature(model, v.name, model.master[-1])
+        else:
+            shared = model.table_for(v.name, None)
+        plan.append((v.name, v.kind, v.states, set(v.times), ident, shared))
     for i in model.master:
-        for v, times in indexed:
-            nid = (v.name, i)
+        for name, kind, states, times, ident, shared in plan:
+            nid = (name, i)
             if i not in times:
-                if v.kind != VALUE:  # value variables get no copies
-                    nodes.append(SliceNode(v.name, i, COPY, v.states))
-                    parents = parents_of[nid] = ((v.name, prev[v.name]),)
-                    k = range(len(v.states))
-                    ident = tuple(tuple(float(c == r) for c in k) for r in k)
+                if kind != VALUE:  # value variables get no copies
+                    nodes.append(SliceNode(name, i, COPY, states))
+                    parents = parents_of[nid] = ((name, prev[name]),)
                     tables.append(DeployedTable(nid, parents, ident))
                 continue
-            nodes.append(SliceNode(v.name, i, v.kind, v.states))
-            if v.kind == DECISION:
-                parents_of[nid] = place(decision_parents[v.name], i)
-                continue
-            t = model.table_for(v.name, i)
-            parents = parents_of[nid] = place(t.parents, i)
-            if v.kind == CHANCE:
-                tables.append(DeployedTable(nid, parents, t.table))
+            nodes.append(SliceNode(name, i, kind, states))
+            if kind == DECISION:
+                signature = shared
             else:
+                t = model.table_for(name, i) if nid in explicit else shared
+                signature = t.parents
+            # A lag parent with no earlier indexed slice is absent.
+            parents = parents_of[nid] = tuple(
+                [
+                    (p, i) if role == INST else (p, prev[p])
+                    for p, role in signature
+                    if role == INST or p in prev
+                ]
+            )
+            if kind == CHANCE:
+                tables.append(DeployedTable(nid, parents, t.table))
+            elif kind == VALUE:
                 utilities.append(DeployedUtility(nid, parents, t.values))
-        prev.update((v.name, i) for v, times in indexed if i in times)
+        prev.update((name, i) for name, _, _, times, _, _ in plan if i in times)
 
     did = DeployedDid(
         model.master,
@@ -238,11 +249,14 @@ def deploy(model: CondensedTdid, *, barren: bool = True) -> DeployedDid:
     return eliminate_barren(did) if barren else did
 
 
-def _ancestors(parents_of, roots, within=None) -> set[NodeId]:
+def _ancestors(parents_of, roots, within=None, out=None) -> set[NodeId]:
     """The roots and every node with a directed path to one of them; with
-    ``within``, only along paths that stay in that slice."""
-    out = set(roots)
-    stack = list(out)
+    ``within``, only along paths that stay in that slice.  ``out``, if
+    given, is an earlier result: it grows in place, and its nodes are not
+    walked again."""
+    out = set() if out is None else out
+    stack = [r for r in dict.fromkeys(roots) if r not in out]
+    out.update(stack)
     while stack:
         for p in parents_of.get(stack.pop(), ()):
             if p not in out and (within is None or p[1] == within):
@@ -293,9 +307,9 @@ def eliminate_barren(did: DeployedDid) -> DeployedDid:
     stripped too.  The maximum expected utility is unchanged.
     """
     order = did.decision_order
-    to_value = _ancestors(did.parents_of, did.value_nodes)
-    cut = max((k + 1 for k, d in enumerate(order) if d in to_value), default=0)
-    keep = _ancestors(did.parents_of, did.value_nodes + order[:cut])
+    keep = _ancestors(did.parents_of, did.value_nodes)
+    cut = max((k + 1 for k, d in enumerate(order) if d in keep), default=0)
+    _ancestors(did.parents_of, order[:cut], out=keep)
     return DeployedDid(
         did.slices,
         tuple(n for n in did.nodes if n.id in keep),
@@ -314,10 +328,14 @@ def collapse_copies(did: DeployedDid) -> DeployedDid:
     parent twice (it already depended on the source directly), the two
     table axes are merged by taking their diagonal.
     """
+    states = {n.id: n.states for n in did.nodes}
+    copies = {n.id for n in did.nodes if n.kind == COPY}
     source = {}
     for t in did.tables:
-        if did.node(t.node).kind == COPY:
+        if t.node in copies:
             (source[t.node],) = t.parents
+        elif t.node not in states:
+            raise _no_node(t.node)
 
     def resolve(nid: NodeId) -> NodeId:
         return source.get(nid, nid)
@@ -327,7 +345,10 @@ def collapse_copies(did: DeployedDid) -> DeployedDid:
         (rows or values) with the axes of a repeated parent merged."""
         arr = np.asarray(body, dtype=float)
         tail = arr.shape[1:]  # the child's states, for a table's rows
-        arr = arr.reshape([len(did.states(p)) for p in parents] + list(tail))
+        for p in parents:
+            if p not in states:
+                raise _no_node(p)
+        arr = arr.reshape([len(states[p]) for p in parents] + list(tail))
         new_parents = list(parents)
         k = 0
         while k < len(new_parents):
@@ -408,7 +429,13 @@ def serialize_deployed(did: DeployedDid) -> str:
     name = _Names(did)
     out = ["deployed 2"]
     out.append("slices " + " ".join(map(fmt_int, did.slices)))
-    src_of = {t.node: t.parents[0] for t in did.tables if did.node(t.node).kind == COPY}
+    copies = {n.id for n in did.nodes if n.kind == COPY}
+    src_of = {}
+    for t in did.tables:
+        if t.node in copies:
+            src_of[t.node] = t.parents[0]
+        elif t.node not in name:
+            raise _no_node(t.node)
     for n in did.nodes:
         if n.kind == COPY:
             out.append(f"copy {name[n.id]} of {name[src_of[n.id]]}")

@@ -21,6 +21,7 @@ deliberation time t*, the model to use, and the full curve.
 
 from __future__ import annotations
 
+import errno
 import math
 import os
 import pathlib
@@ -389,13 +390,23 @@ _records: dict[str, _Record] = {}
 _READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0) | getattr(os, "O_NONBLOCK", 0)
 
 
+# No manifest or model comes near this; an endless file (a link to
+# /dev/zero, say) fails the load at it instead of exhausting memory.
+_READ_CAP = 64 << 20  # bytes per file
+
+
 def _read(path: str) -> bytes:
-    """The whole file, through raw descriptor calls: ``open()`` would build
-    a file object and a buffer for every file of every load."""
+    """The whole file, at most ``_READ_CAP`` bytes, through raw descriptor
+    calls: ``open()`` would build a file object and a buffer for every
+    file of every load."""
     fd = os.open(path, _READ_FLAGS)
     try:
         chunks = []
+        size = 0
         while chunk := os.read(fd, 1 << 16):
+            size += len(chunk)
+            if size > _READ_CAP:
+                raise OSError(errno.EFBIG, os.strerror(errno.EFBIG))
             chunks.append(chunk)
     except OSError as err:
         # os.read names no file (a directory fails here, not at os.open).

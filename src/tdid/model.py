@@ -173,12 +173,13 @@ class CondensedTdid:
         return _table_index(self.utilities)
 
     def table_for(
-        self, name: str, i: int
+        self, name: str, i: int | None
     ) -> TabularCpd | UtilityTable | None:
         """The CPD or utility table covering variable ``name`` at index ``i``.
 
         An explicit table at ``i`` takes precedence; otherwise the stationary
-        table applies.  Returns None when neither exists.
+        table applies (``i=None`` asks for it alone).  Returns None when
+        neither exists.
         """
         kind = self.variable(name).kind
         index = self._utility_index if kind == VALUE else self._cpd_index

@@ -724,13 +724,14 @@ def solve(did: DeployedDid) -> Policy:
 
 class _Dense:
     """All non-value nodes as axes of one dense array: the oracle's own
-    evaluator, independent of the solver's plan."""
+    evaluator, independent of the solver's plan.  The chance joint is
+    weighted by the total utility once, so a policy costs one product
+    with its indicators and one sum."""
 
     def __init__(self, did: DeployedDid):
         _check_solvable(did)
         self.did = did
         self.nodes = [n.id for n in did.nodes if n.kind != VALUE]
-        self.axis = {n: i for i, n in enumerate(self.nodes)}
         self.shape = tuple(len(did.states(n)) for n in self.nodes)
         chance = Factor((), np.float64(1.0))
         for t in did.tables:
@@ -742,7 +743,16 @@ class _Dense:
                 ),
             )
             chance = _multiply(chance, f)
-        self.chance = Factor(tuple(self.nodes), chance.align(tuple(self.nodes)) * np.ones(self.shape))
+        utility = np.zeros(self.shape)
+        for u in did.utilities:
+            f = Factor(
+                u.parents,
+                np.asarray(u.values).reshape(
+                    tuple(len(did.states(p)) for p in u.parents)
+                ),
+            )
+            utility += f.align(self.nodes)
+        self.weighted = chance.align(tuple(self.nodes)) * utility
 
     def indicator(self, rule: DecisionRule) -> Factor:
         obs_shape = tuple(len(self.did.states(o)) for o in rule.observations)
@@ -754,24 +764,11 @@ class _Dense:
             table[widx + (rule.choices[flat],)] = 1.0
         return Factor(rule.observations + (rule.node,), table)
 
-    def joint(self, rules) -> np.ndarray:
-        arr = self.chance.table
-        for rule in rules:
-            arr = arr * self.indicator(rule).align(self.nodes)
-        return arr
-
     def expected_utility(self, rules) -> float:
-        arr = self.joint(rules)
-        eu = 0.0
-        for u in self.did.utilities:
-            f = Factor(
-                u.parents,
-                np.asarray(u.values).reshape(
-                    tuple(len(self.did.states(p)) for p in u.parents)
-                ),
-            )
-            eu += float((arr * f.align(self.nodes)).sum())
-        return eu
+        policy = np.float64(1.0)
+        for rule in rules:
+            policy = policy * self.indicator(rule).align(self.nodes)
+        return float((self.weighted * policy).sum())
 
 
 def _check_policy(did: DeployedDid, policy: Policy) -> None:

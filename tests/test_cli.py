@@ -9,6 +9,11 @@ import subprocess
 import sys
 import tempfile
 
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -449,6 +454,22 @@ def test_evc_curve_only(capsys, kb):
 
 
 needs_fifo = pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+needs_zero = pytest.mark.skipif(
+    resource is None or not os.path.exists("/dev/zero"), reason="no /dev/zero"
+)
+MAKE = {
+    "fifo": getattr(os, "mkfifo", None),
+    "directory": os.mkdir,
+    "zero": lambda path: os.symlink("/dev/zero", path),
+}
+# Address space of a child that reads a hostile knowledge base: enough for
+# the interpreter, numpy and a file at the read cap, so reading without a
+# cap fails fast instead of taking the machine's memory.
+CHILD_AS = 1 << 30
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_AS, CHILD_AS))
 
 
 @pytest.mark.parametrize(
@@ -466,17 +487,29 @@ needs_fifo = pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipe
             "directory", "model", 1,
             "full.entry: cannot read model: [Errno 21] Is a directory: '{kb}/m.tdid'",
         ),
+        pytest.param(
+            "zero", "entry", 2, "[Errno 27] File too large: '{kb}/a.entry'",
+            marks=needs_zero,
+        ),
+        pytest.param(
+            "zero", "model", 1,
+            "full.entry: cannot read model: [Errno 27] File too large: '{kb}/m.tdid'",
+            marks=needs_zero,
+        ),
     ],
-    ids=["fifo-entry", "fifo-model", "directory-entry", "directory-model"],
+    ids=[
+        "fifo-entry", "fifo-model", "directory-entry", "directory-model",
+        "zero-entry", "zero-model",
+    ],
 )
 def test_select_hostile_entry_fails_with_one_line(kb, kind, role, code, error):
-    # In a child process with a timeout, so that a read that blocks fails
-    # the test instead of hanging the suite.
-    make = os.mkfifo if kind == "fifo" else os.mkdir
+    # In a child process with a timeout and a bounded address space, so that
+    # a read that blocks or never ends fails the test instead of hanging the
+    # suite or exhausting memory.
     if role == "entry":
-        make(kb / "a.entry")
+        MAKE[kind](kb / "a.entry")
     else:
-        make(kb / "m.tdid")
+        MAKE[kind](kb / "m.tdid")
         set_manifest_field(kb / "full.entry", "model", "m.tdid")
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
@@ -486,6 +519,7 @@ def test_select_hostile_entry_fails_with_one_line(kb, kind, role, code, error):
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
         timeout=30,
+        preexec_fn=_limit_address_space if resource else None,
     )
     assert (proc.returncode, proc.stderr) == (code, f"error: {error.format(kb=kb)}\n")
 

@@ -18,7 +18,7 @@ from tdid.deploy import (
 from conftest import cardiac_text
 from gen import random_model
 from tdid._fmt import fmt_float, fmt_int
-from tdid.deploy import DeployedDid
+from tdid.deploy import DeployedDid, DeployedTable, DeployedUtility, SliceNode
 
 
 def two_var(fixtures_dir):
@@ -657,3 +657,65 @@ def test_collapse_keeps_every_table_that_reads_no_copy():
         assert after[n] == before[n]
     for n in rewired:
         assert copies.isdisjoint(after[n].parents)
+
+
+# --- deployed records --------------------------------------------------------
+
+
+RECORDS = [
+    lambda: SliceNode("X", 1, "chance", ("a", "b")),
+    lambda: DeployedTable(("X", 2), (("X", 1),), ((1.0, 0.0), (0.0, 1.0))),
+    lambda: DeployedUtility(("U", 1), (("X", 1),), (1.0, 2.0)),
+]
+
+
+@pytest.mark.parametrize("make", RECORDS, ids=["node", "table", "utility"])
+def test_deployed_records_are_immutable_values(make):
+    a, b = make(), make()
+    assert a == b and a is not b and hash(a) == hash(b)
+    for field in type(a)._fields:
+        with pytest.raises(AttributeError):
+            setattr(a, field, None)
+    assert a == b
+
+
+def test_deployed_records_keep_their_repr():
+    assert repr(RECORDS[0]()) == (
+        "SliceNode(base='X', slice=1, kind='chance', states=('a', 'b'))"
+    )
+    assert repr(RECORDS[1]()) == (
+        "DeployedTable(node=('X', 2), parents=(('X', 1),), "
+        "rows=((1.0, 0.0), (0.0, 1.0)))"
+    )
+    assert repr(RECORDS[2]()) == (
+        "DeployedUtility(node=('U', 1), parents=(('X', 1),), values=(1.0, 2.0))"
+    )
+
+
+def test_slice_node_id_is_a_plain_pair():
+    node_id = SliceNode("X", 1, "chance", ("a", "b")).id
+    assert type(node_id) is tuple and node_id == ("X", 1)
+
+
+def test_copies_of_one_variable_share_their_identity_rows():
+    did = deploy(cardiac_shape("copy-heavy"), barren=False)
+    rows = {}
+    for t in did.tables:
+        if did.node(t.node).kind == COPY:
+            rows.setdefault(t.node[0], []).append(t.rows)
+    assert len(rows) == 2 and all(len(r) > 1 for r in rows.values())
+    for shared in rows.values():
+        assert all(r is shared[0] for r in shared)
+        k = len(shared[0])
+        assert shared[0] == tuple(tuple(float(c == r) for c in range(k)) for r in range(k))
+
+
+def test_a_table_of_no_node_is_a_model_error():
+    did = deploy(cardiac_shape("copy-heavy", horizon=6), barren=False)
+    stray = DeployedTable(("ghost", 1), (), ((1.0,),))
+    hand_built = DeployedDid(
+        did.slices, did.nodes, did.tables + (stray,), did.utilities, did.decisions
+    )
+    for render in (collapse_copies, serialize_deployed, table_entry_count):
+        with pytest.raises(ModelError, match="^no deployed node ghost@1$"):
+            render(hand_built)
