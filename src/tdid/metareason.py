@@ -506,7 +506,7 @@ def write_entry(kb_dir, entry: SuiteEntry) -> pathlib.Path:
     kb_dir = pathlib.Path(kb_dir)
     kb_dir.mkdir(parents=True, exist_ok=True)
     model_file = f"{entry.name}.tdid"
-    (kb_dir / model_file).write_text(serialize_model(entry.model))
+    (kb_dir / model_file).write_text(serialize_model(entry.model), encoding="utf-8")
     lines = [
         f"model {model_file}",
         f"quality {'unsolved' if entry.quality is None else fmt_float(entry.quality)}",
@@ -517,7 +517,7 @@ def write_entry(kb_dir, entry: SuiteEntry) -> pathlib.Path:
     if entry.tags:
         lines.append("tags " + " ".join(entry.tags))
     out = kb_dir / f"{entry.name}.entry"
-    out.write_text("\n".join(lines) + "\n")
+    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return out
 
 

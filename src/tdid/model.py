@@ -277,10 +277,9 @@ def validate(model: CondensedTdid) -> list[str]:
         if a.src in names_seen and model.variable(a.src).kind == VALUE:
             out.append(f"{where}: value variables have no outgoing arcs")
 
-    if structure_ok and _inst_cycle(model):
-        out.append(
-            "instantaneous arcs form a cycle: " + " -> ".join(_inst_cycle(model))
-        )
+    cycle = _inst_cycle(model) if structure_ok else None
+    if cycle:
+        out.append("instantaneous arcs form a cycle: " + " -> ".join(cycle))
 
     if not model.of_kind(VALUE):
         out.append("model has no value variable")

@@ -123,62 +123,57 @@ class Policy:
 
 
 # ---------------------------------------------------------------------------
-# Factors
-
-
-class Factor:
-    """Dense table over an ordered scope of variables."""
-
-    __slots__ = ("scope", "table")
-
-    def __init__(self, scope, table):
-        self.scope = tuple(scope)
-        self.table = np.asarray(table, dtype=float)
-        assert self.table.ndim == len(self.scope)
-
-    def align(self, scope) -> np.ndarray:
-        """This factor's table broadcast against a superset scope."""
-        order = [v for v in scope if v in self.scope]
-        t = np.transpose(self.table, [self.scope.index(v) for v in order])
-        idx = tuple(slice(None) if v in self.scope else None for v in scope)
-        return t[idx]
-
-
-def _multiply(a: Factor, b: Factor) -> Factor:
-    scope = list(a.scope) + [v for v in b.scope if v not in a.scope]
-    return Factor(scope, a.align(scope) * b.align(scope))
-
-
-# ---------------------------------------------------------------------------
 # Shared structure
 
 
-def _check_solvable(did: DeployedDid) -> None:
-    """Every observation must precede its decision in some total order."""
-    for d in did.decision_order:
+def _schedule(did: DeployedDid) -> list[NodeId]:
+    """Every node in one solving order: chance, copy and value nodes first in,
+    first out as their parents are placed, and each decision, in decision
+    order, once everything it observes is placed.  Refuses a diagram where
+    no order places every node after its parents and every decision after
+    what it observes."""
+    order = did.decision_order
+    info = did.info_by_decision
+    for d in order:
         if not did.has_node(d):
             raise SolveError(f"decision order names unknown node {node_name(d)}")
-    preds = {n: set(parents) for n, parents in did.parents_of.items()}
-    for d, obs in did.info:
-        preds[d].update(obs)
-    waiting = {n: len(ps) for n, ps in preds.items()}
+    waiting: dict[NodeId, int] = {}
     children: dict[NodeId, list[NodeId]] = {}
-    for n, ps in preds.items():
-        for p in ps:
-            children.setdefault(p, []).append(n)
-    ready = [n for n, w in waiting.items() if not w]
-    done = 0
-    while ready:
-        done += 1
-        for c in children.get(ready.pop(), ()):
-            waiting[c] -= 1
-            if not waiting[c]:
-                ready.append(c)
-    if done < len(preds):
+    for n, parents in did.parents_of.items():
+        if n not in info:
+            parents = set(parents)
+            waiting[n] = len(parents)
+            for p in parents:
+                children.setdefault(p, []).append(n)
+    ready = collections.deque(n for n, w in waiting.items() if not w)
+    schedule: list[NodeId] = []
+    placed: set[NodeId] = set()
+    for d in order + (None,):
+        while ready:
+            n = ready.popleft()
+            schedule.append(n)
+            placed.add(n)
+            for c in children.get(n, ()):
+                waiting[c] -= 1
+                if not waiting[c]:
+                    ready.append(c)
+        if d is None or not placed.issuperset(info[d]):
+            break
+        ready.append(d)  # placed next, before what it unlocks
+    if len(schedule) < len(did.parents_of):
         raise SolveError(
             "information structure is not solvable: no consistent "
             "ordering places every observation before its decision"
         )
+    return schedule
+
+
+def _align(scope, table, target) -> np.ndarray:
+    """``table``, over the variables ``scope``, broadcast against the
+    superset ``target``."""
+    order = [scope.index(v) for v in target if v in scope]
+    index = tuple(slice(None) if v in scope else None for v in target)
+    return np.transpose(table, order)[index]
 
 
 def _domains(did: DeployedDid) -> dict[NodeId, int]:
@@ -278,7 +273,7 @@ class _Plan:
     """
 
     def __init__(self, did: DeployedDid, evaluating: bool = False):
-        _check_solvable(did)
+        schedule = _schedule(did)
         order = did.decision_order
         info = did.info_by_decision
         dpos = {d: j for j, d in enumerate(order)}
@@ -305,9 +300,12 @@ class _Plan:
                 continue
             if n not in tables:
                 raise SolveError(f"{node_name(n)} is read but has no distribution")
+            did.node(n)  # a table of no node: ModelError, as in brute_force
             needed.add(n)
             stack.extend(tables[n].parents)
-        sequence = self._place(did, needed, dpos)
+        # A node that is not needed never unlocks a needed one, so the needed
+        # nodes and decisions keep the order a schedule of them alone gives.
+        sequence = [n for n in schedule if n in needed or n in dpos]
         pos = {n: s for s, n in enumerate(sequence)}
 
         # The step each value node is scored at, and the last step reading
@@ -386,45 +384,6 @@ class _Plan:
         self.to_go: dict = {}
         if order:
             self._plan_to_go()
-
-    @staticmethod
-    def _place(did, needed, dpos) -> list[NodeId]:
-        """Placement order: ready chance nodes first, then the next decision."""
-        tables = did.table_by_node
-        waiting: dict[NodeId, int] = {}
-        children: dict[NodeId, list[NodeId]] = {}
-        for n in did.nodes:
-            if n.id in needed:
-                parents = set(tables[n.id].parents)
-                waiting[n.id] = len(parents)
-                for p in parents:
-                    children.setdefault(p, []).append(n.id)
-        ready = collections.deque(n for n, w in waiting.items() if w == 0)
-        sequence: list[NodeId] = []
-        placed: set[NodeId] = set()
-
-        def place(n):
-            sequence.append(n)
-            placed.add(n)
-            for c in children.get(n, ()):
-                waiting[c] -= 1
-                if not waiting[c]:
-                    ready.append(c)
-
-        for d in did.decision_order:
-            while ready:
-                place(ready.popleft())
-            if not placed.issuperset(did.info_by_decision[d]):
-                break
-            place(d)
-        while ready:
-            place(ready.popleft())
-        if len(sequence) < len(needed) + len(dpos):
-            raise SolveError(
-                "information structure is not solvable: the decision order "
-                "places an observation after its decision"
-            )
-        return sequence
 
     @staticmethod
     def _decision(did, d, dpos, domains, scope) -> _DecisionStep:
@@ -655,7 +614,7 @@ class _Plan:
                 g = np.zeros(())
                 for step, terms, joint, spec in self.tail:
                     parts = [g] + [u.at(h) for u, _ in step.values]
-                    g = sum(Factor(sc, p).align(joint) for sc, p in zip(terms, parts))
+                    g = sum(_align(sc, p, joint) for sc, p in zip(terms, parts))
                     if spec is not None:
                         g = np.einsum(spec, step.table.at(h), g)
                 per_option.append(g)
@@ -729,45 +688,32 @@ class _Dense:
     with its indicators and one sum."""
 
     def __init__(self, did: DeployedDid):
-        _check_solvable(did)
+        _schedule(did)
         self.did = did
         self.nodes = [n.id for n in did.nodes if n.kind != VALUE]
         self.shape = tuple(len(did.states(n)) for n in self.nodes)
-        chance = Factor((), np.float64(1.0))
+        chance = np.float64(1.0)
         for t in did.tables:
-            f = Factor(
-                t.parents + (t.node,),
-                np.asarray(t.rows).reshape(
-                    tuple(len(did.states(p)) for p in t.parents)
-                    + (len(did.states(t.node)),)
-                ),
-            )
-            chance = _multiply(chance, f)
+            chance = chance * self._aligned(t.parents + (t.node,), t.rows)
         utility = np.zeros(self.shape)
         for u in did.utilities:
-            f = Factor(
-                u.parents,
-                np.asarray(u.values).reshape(
-                    tuple(len(did.states(p)) for p in u.parents)
-                ),
-            )
-            utility += f.align(self.nodes)
-        self.weighted = chance.align(tuple(self.nodes)) * utility
+            utility += self._aligned(u.parents, u.values)
+        self.weighted = chance * utility
 
-    def indicator(self, rule: DecisionRule) -> Factor:
-        obs_shape = tuple(len(self.did.states(o)) for o in rule.observations)
-        k = len(self.did.states(rule.node))
-        table = np.zeros(obs_shape + (k,))
-        for flat, widx in (
-            enumerate(np.ndindex(obs_shape)) if obs_shape else [(0, ())]
-        ):
-            table[widx + (rule.choices[flat],)] = 1.0
-        return Factor(rule.observations + (rule.node,), table)
+    def _aligned(self, scope, flat) -> np.ndarray:
+        """A flat table over ``scope`` on the dense axes."""
+        shape = tuple(len(self.did.states(v)) for v in scope)
+        return _align(scope, np.asarray(flat).reshape(shape), self.nodes)
+
+    def indicator(self, rule: DecisionRule) -> np.ndarray:
+        """The rule as one-hot rows over its options, on the dense axes."""
+        one_hot = np.eye(len(self.did.states(rule.node)))[list(rule.choices)]
+        return self._aligned(rule.observations + (rule.node,), one_hot)
 
     def expected_utility(self, rules) -> float:
         policy = np.float64(1.0)
         for rule in rules:
-            policy = policy * self.indicator(rule).align(self.nodes)
+            policy = policy * self.indicator(rule)
         return float((self.weighted * policy).sum())
 
 
@@ -786,9 +732,7 @@ def _check_policy(did: DeployedDid, policy: Policy) -> None:
             raise SolveError(
                 f"policy for {node_name(r.node)} is keyed on the wrong observations"
             )
-        n = 1
-        for o in r.observations:
-            n *= len(did.states(o))
+        n = _entry_count(did, r.node)
         if len(r.choices) != n:
             raise SolveError(
                 f"policy for {node_name(r.node)} has {len(r.choices)} entries, "

@@ -537,6 +537,57 @@ def test_module_invocation(tmp_path, fixtures_dir):
     assert proc.returncode == 0, proc.stderr
 
 
+# Writes a knowledge-base entry, runs every command that writes a file, and
+# reads the knowledge base back.  The child runs with ``-X
+# warn_default_encoding`` and EncodingWarning as an error, so any file opened
+# in the locale's encoding fails it, whatever the locale.
+UTF8_CHILD = """\
+import sys
+from tdid.cli import main
+from tdid.metareason import CostModel, load_kb, make_entry, with_cost, write_entry
+from tdid.model import parse, serialize
+
+model_path, kb, out = sys.argv[1:]
+model = parse(open(model_path, "rb").read())
+write_entry(kb, with_cost(make_entry("full", model), CostModel(alpha=0.1, beta=1.0)))
+for argv in (
+    ["deploy", model_path, "-o", out + "/deployed.txt"],
+    ["abstract", model_path, "-o", out + "/abstract.tdid"],
+    ["select", kb, "--urgency", "linear:0", "-o", out + "/report.json",
+     "--policy-out", out + "/policy.json"],
+):
+    assert main(argv) == 0, argv
+assert serialize(load_kb(kb)[0].model) == serialize(model)
+"""
+
+
+def test_written_files_are_utf8_whatever_the_locale(tmp_path):
+    text = ONE_DECISION.replace("x0", "état").replace("act", "arrêt")
+    model_path = tmp_path / "accented.tdid"
+    model_path.write_bytes(text.encode("utf-8"))
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [
+            sys.executable, "-X", "warn_default_encoding",
+            "-W", "error::EncodingWarning",
+            "-c", UTF8_CHILD, str(model_path), str(tmp_path / "kb"), str(tmp_path),
+        ],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for name, label in [
+        ("kb/full.tdid", "état"),
+        ("deployed.txt", "état"),
+        ("abstract.tdid", "état"),
+        ("policy.json", "arrêt"),
+    ]:
+        assert label.encode("utf-8") in (tmp_path / name).read_bytes(), name
+
+
 @pytest.mark.parametrize(
     "extra",
     [[], ["--t0", "3"], ["--deadline", "3"], ["--t0", "2.9", "--deadline", "9"]],

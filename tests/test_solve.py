@@ -2,13 +2,14 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
-from tdid.model import parse, serialize
+from tdid.model import ModelError, parse, serialize
 from tdid.abstraction import retime
-from tdid.deploy import collapse_copies, deploy, eliminate_barren
+from tdid.deploy import DeployedTable, collapse_copies, deploy, eliminate_barren
 from tdid.solve import (
     FRONTIER_CAP,
     SEARCH_CAP,
@@ -90,8 +91,9 @@ def test_no_decision_model_meu_is_expectation():
             """
         )
     )
-    assert solve(did).meu == pytest.approx(2.0)
-    assert brute_force(did).meu == pytest.approx(2.0)
+    got, want = solve(did), brute_force(did)
+    assert got.rules == want.rules == ()
+    assert got.meu == pytest.approx(2.0) and want.meu == pytest.approx(2.0)
 
 
 def test_policy_count_two_sequential_decisions():
@@ -279,6 +281,102 @@ def test_unsolvable_information_structure_detected():
     bad = dataclasses.replace(did, decisions=((("D", 1), (("U", 1),)),))
     with pytest.raises(SolveError):
         solve(bad)
+
+
+SEQUENTIAL = """
+tdid 1
+master 1
+chance C : s f
+decision D1 : a b
+chance X : s f
+decision D2 : a b
+chance Y : s f
+value U
+arc inst C D1
+arc inst D1 X
+arc inst X D2
+arc inst D2 Y
+arc inst C U
+arc inst Y U
+cpt C @ 1 | : 0.7 0.3
+cpt X @ 1 | D1 : 0.9 0.1 , 0.2 0.8
+cpt Y @ 1 | D2 : 0.6 0.4 , 0.1 0.9
+util U @ 1 | C Y : 10 5 0 5
+"""
+
+NOT_SOLVABLE = (
+    "information structure is not solvable: no consistent ordering places "
+    "every observation before its decision"
+)
+
+
+def _option_zero(did):
+    """Option 0 at every entry, keyed on what the diagram's decisions observe."""
+    rules = []
+    for d, obs in did.info:
+        entries = math.prod(len(did.states(o)) for o in obs)
+        rules.append(DecisionRule(d, obs, (0,) * entries))
+    return Policy(tuple(rules), 0.0)
+
+
+def _unsolvable_diagrams():
+    did = deploy(parse(SEQUENTIAL))
+    c, d1, x, d2, y = ("C", 1), ("D1", 1), ("X", 1), ("D2", 1), ("Y", 1)
+    chance = did.nodes[0]
+    loop = (
+        DeployedTable(("A", 1), (("B", 1),), ((0.5, 0.5), (0.5, 0.5))),
+        DeployedTable(("B", 1), (("A", 1),), ((0.5, 0.5), (0.5, 0.5))),
+    )
+    err = (SolveError, NOT_SOLVABLE)
+    unknown = ("nope", 1)
+    yield pytest.param(
+        dataclasses.replace(did, decisions=did.decisions[::-1]),
+        err, err, err,
+        id="reversed-order",
+    )
+    yield pytest.param(
+        dataclasses.replace(did, decisions=((d1, (c, y)), (d2, (x,)))),
+        err, err, err,
+        id="observes-a-later-decision",
+    )
+    yield pytest.param(
+        dataclasses.replace(did, decisions=did.decisions + ((unknown, ()),)),
+        (SolveError, "decision order names unknown node nope@1"),
+        (ModelError, "no deployed node nope@1"),
+        None,  # no rule can name the options of a node that is not there
+        id="unknown-decision",
+    )
+    yield pytest.param(
+        dataclasses.replace(
+            did,
+            nodes=did.nodes + (chance._replace(base="A"), chance._replace(base="B")),
+            tables=did.tables + loop,
+        ),
+        err, err, err,
+        id="unread-cycle",
+    )
+    ghost = (ModelError, "no deployed node Y@1")
+    yield pytest.param(
+        dataclasses.replace(did, nodes=tuple(n for n in did.nodes if n.id != y)),
+        ghost, ghost, ghost,
+        id="read-table-of-no-node",
+    )
+
+
+@pytest.mark.parametrize(
+    "did, by_solve, by_oracle, by_evaluation", list(_unsolvable_diagrams())
+)
+def test_unsolvable_diagrams_are_refused_alike(did, by_solve, by_oracle, by_evaluation):
+    for call, (kind, message) in [(solve, by_solve), (brute_force, by_oracle)]:
+        with pytest.raises(kind) as raised:
+            call(did)
+        assert (type(raised.value), str(raised.value)) == (kind, message)
+    if by_evaluation is not None:
+        kind, message = by_evaluation
+        with pytest.raises(kind) as raised:
+            # A copy, so that no plan ``solve`` built is reused.
+            evaluate_policy(dataclasses.replace(did), _option_zero(did))
+        assert (type(raised.value), str(raised.value)) == (kind, message)
 
 
 def test_figure_model_solves_same_collapsed(fixtures_dir):
