@@ -132,6 +132,9 @@ def _schedule(did: DeployedDid) -> list[NodeId]:
     order, once everything it observes is placed.  Refuses a diagram where
     no order places every node after its parents and every decision after
     what it observes."""
+    for n in did.nodes:
+        if n.kind != VALUE and not n.states:
+            raise SolveError(f"{node_name(n.id)} has no states")
     order = did.decision_order
     info = did.info_by_decision
     for d in order:
@@ -168,12 +171,13 @@ def _schedule(did: DeployedDid) -> list[NodeId]:
     return schedule
 
 
-def _align(scope, table, target) -> np.ndarray:
-    """``table``, over the variables ``scope``, broadcast against the
-    superset ``target``."""
-    order = [scope.index(v) for v in target if v in scope]
-    index = tuple(slice(None) if v in scope else None for v in target)
-    return np.transpose(table, order)[index]
+def _alignment(scope, target) -> tuple:
+    """How a table over the variables ``scope`` broadcasts against the
+    superset ``target``: its axis order, then the index adding the rest."""
+    return (
+        [scope.index(v) for v in target if v in scope],
+        tuple(slice(None) if v in scope else None for v in target),
+    )
 
 
 def _domains(did: DeployedDid) -> dict[NodeId, int]:
@@ -206,16 +210,19 @@ def _union(*scopes) -> tuple:
 
 
 def _subscripts(*scopes, out=()) -> str:
-    """``np.einsum`` subscripts for operands over the given scopes."""
-    names = _union(*scopes)
-    if len(names) > len(_LETTERS):
+    """``np.einsum`` subscripts for operands over the given scopes, each
+    variable lettered in the order it is first seen."""
+    letter: dict = {}
+    for v in itertools.chain(*scopes):
+        if v not in letter:  # past the cap the letters wrap; refused below
+            letter[v] = _LETTERS[len(letter) % len(_LETTERS)]
+    if len(letter) > len(_LETTERS):
         raise SolveCapError(
-            f"a solver step reads {len(names)} variables, above the cap of "
+            f"a solver step reads {len(letter)} variables, above the cap of "
             f"{len(_LETTERS)}"
         )
-    letter = dict(zip(names, _LETTERS))
-    word = lambda scope: "".join(letter[v] for v in scope)  # noqa: E731
-    return ",".join(map(word, scopes)) + "->" + word(out)
+    words = ["".join([letter[v] for v in scope]) for scope in scopes + (out,)]
+    return ",".join(words[:-1]) + "->" + words[-1]
 
 
 class _Table:
@@ -225,17 +232,17 @@ class _Table:
     __slots__ = ("array", "picks", "scope", "_pick")
 
     def __init__(self, flat, parents, node, dpos, domains):
-        own = (node,) if node is not None else ()
-        axes = tuple(parents) + own
-        array = np.asarray(flat, dtype=float).reshape(
-            tuple(domains[v] for v in axes)
-        )
+        axes = tuple(parents) + ((node,) if node is not None else ())
+        array = np.array(flat, float).reshape([domains[v] for v in axes])
         front = [i for i, p in enumerate(parents) if p in dpos]
-        back = [i for i in range(len(axes)) if i not in front]
-        self.array = np.ascontiguousarray(array.transpose(front + back))
         self.picks = tuple(dpos[parents[i]] for i in front)
-        self.scope = tuple(axes[i] for i in back)
-        self._pick = operator.itemgetter(*self.picks) if self.picks else None
+        self._pick = operator.itemgetter(*self.picks) if front else None
+        if front:
+            back = [i for i in range(len(axes)) if i not in front]
+            array = np.ascontiguousarray(array.transpose(front + back))
+            axes = tuple(axes[i] for i in back)
+        self.array = array
+        self.scope = axes
 
     def at(self, hist) -> np.ndarray:
         return self.array[self._pick(hist)] if self._pick else self.array
@@ -249,7 +256,8 @@ class _ChanceStep:
 class _DecisionStep:
     __slots__ = (
         "node", "j", "options", "values", "scope_in", "observed", "shape",
-        "dec_obs", "offsets", "marginal", "restrict", "to_go",
+        "dec_obs", "offsets", "columns", "marginal", "restrict", "to_go",
+        "searched",
     )
     decision = True
 
@@ -350,6 +358,7 @@ class _Plan:
             joint = _union(scope, chance, (n,))
             cells.append(rows * _cells(joint, domains))
             scope = tuple(v for v in joint if last[v] > s)
+        scopes.append(())  # after the end
         self.frontier_cells = max(cells, default=1)
         if self.frontier_cells > FRONTIER_CAP:
             raise SolveCapError(
@@ -357,30 +366,30 @@ class _Plan:
                 f"above the cap of {FRONTIER_CAP}"
             )
 
-        def values_at(s, *scopes_in):
-            out = []
-            for u in scored.get(s, ()):
-                t = _Table(u.values, u.parents, None, dpos, domains)
-                out.append((t, _subscripts(*scopes_in, t.scope, out=_ROW)))
-            return out
-
+        # From the last decision on, the tail (``_plan_to_go``) reads the
+        # tables alone, so those steps get no forward einsum spec.
+        self.last = pos[order[-1]] if order else len(sequence)
         self.const = sum(float(u.values[0]) for u in scored.get(-1, ()))
         self.steps: list = []
         for s, n in enumerate(sequence):
-            f = scopes[s]
+            f = _ROW + scopes[s]
             if n in dpos:
-                self.steps.append(self._decision(did, n, dpos, domains, f))
-                self.steps[-1].values = values_at(s, _ROW + f)
-                continue
-            step = _ChanceStep()
-            step.node = n
-            t = tables[n]
-            step.table = _Table(t.rows, t.parents, n, dpos, domains)
-            step.values = values_at(s, _ROW + f, step.table.scope)
-            out = scopes[s + 1] if s + 1 < len(sequence) else ()
-            step.spec = _subscripts(_ROW + f, step.table.scope, out=_ROW + out)
+                step = self._decision(did, n, dpos, domains, scopes[s])
+                ins: tuple = (f,)
+            else:
+                step = _ChanceStep()
+                step.node = n
+                t = tables[n]
+                step.table = _Table(t.rows, t.parents, n, dpos, domains)
+                ins = (f, step.table.scope)
+                if s < self.last:
+                    step.spec = _subscripts(*ins, out=_ROW + scopes[s + 1])
+            step.values = []
+            for u in scored.get(s, ()):
+                t = _Table(u.values, u.parents, None, dpos, domains)
+                spec = _subscripts(*ins, t.scope, out=_ROW) if s < self.last else None
+                step.values.append((t, spec))
             self.steps.append(step)
-        self.last = pos[order[-1]] if order else len(sequence)
         self.to_go: dict = {}
         if order:
             self._plan_to_go()
@@ -394,19 +403,21 @@ class _Plan:
         step.scope_in = scope
         obs = did.info_by_decision[d]
         strides = [math.prod(domains[o] for o in obs[i + 1 :]) for i in range(len(obs))]
-        step.dec_obs = tuple(
-            (dpos[o], st) for o, st in zip(obs, strides) if o in dpos
-        )
+        step.dec_obs = tuple((dpos[o], st) for o, st in zip(obs, strides) if o in dpos)
         observed = tuple(o for o in obs if o not in dpos)
         step.observed = observed
         step.shape = tuple(domains[o] for o in observed)
         # Each observed state (in C order over ``observed``) offsets the
         # entry index by its digits times their strides.
-        offsets = np.zeros(1, dtype=np.int64)
+        offsets = [0]
         for o, st in zip(obs, strides):
             if o not in dpos:
-                offsets = (offsets[:, None] + np.arange(domains[o]) * st).reshape(-1)
-        step.offsets = offsets.tolist()
+                offsets = [x + i * st for x in offsets for i in range(domains[o])]
+        step.offsets = offsets
+        if step.j == len(dpos) - 1:  # the last decision reads the tail instead
+            step.columns = np.arange(len(offsets))
+            return step
+        step.searched = {}  # live states -> candidates, while searching
         step.marginal = _subscripts(_ROW + scope, out=_ROW + observed)
         step.restrict = _subscripts(_ROW + scope, _ROW + observed, out=_ROW + scope)
         return step
@@ -421,16 +432,13 @@ class _Plan:
             terms = [scope] + [t.scope for t, _ in step.values]
             joint = _union(*terms)
             reads.update(j for t, _ in step.values for j in t.picks)
+            spec, scope = None, joint
             if not step.decision:
                 reads.update(step.table.picks)
-                out = tuple(
-                    v for v in _union(step.table.scope, joint) if v != step.node
-                )
-                spec = _subscripts(step.table.scope, joint, out=out)
-                scope = out
-            else:
-                spec, scope = None, joint
-            tail.append((step, terms, joint, spec))
+                table = step.table.scope
+                scope = tuple(v for v in _union(table, joint) if v != step.node)
+                spec = _subscripts(table, joint, out=scope)
+            tail.append((step, [_alignment(t, joint) for t in terms], spec))
         decision = self.steps[self.last]
         self.tail = tail
         self.to_go_reads = tuple(sorted(reads - {decision.j}))
@@ -500,12 +508,7 @@ class _Plan:
         items: list[list] = [[] for _ in range(step.options)]
         layout = []
         for live, zs in groups.items():
-            candidates = self._candidates(step, live, base, rules)
-            pairs = [pair for _, br in candidates for pair in br]
-            sets = [
-                list(dict.fromkeys(sel for b, sel in pairs if b == a))
-                for a in range(step.options)
-            ]
+            candidates, sets = self._candidates(step, live, base, rules)
             start = [len(items[a]) for a in range(step.options)]
             for a in range(step.options):
                 items[a].extend((z, sel) for z in zs for sel in sets[a])
@@ -517,69 +520,63 @@ class _Plan:
         eu = np.empty(len(f))
         trees: list = [None] * len(f)
         for live, zs, candidates, sets, start in layout:
-            at = [{sel: i for i, sel in enumerate(sels)} for sels in sets]
+            n = len(zs)
             blocks = [
-                done[a][0][start[a] : start[a] + len(zs) * len(sels)].reshape(
-                    len(zs), -1
-                )
-                if sels
-                else None
+                done[a][0][start[a] : start[a] + n * len(sels)].reshape(n, -1)
+                if sels else None
                 for a, sels in enumerate(sets)
             ]
+            zero = np.zeros(n)
             totals = np.stack(
-                [
-                    sum((blocks[a][:, at[a][sel]] for a, sel in br), np.zeros(len(zs)))
-                    for _, br in candidates
-                ],
+                [sum((blocks[a][:, i] for a, i in br), zero) for _, br in candidates],
                 axis=1,
             )
             top = totals.max(axis=1, keepdims=True)
             best = (totals >= top - _TIE * abs(top)).argmax(axis=1)
-            eu[zs] = totals[np.arange(len(zs)), best]
+            eu[zs] = totals[np.arange(n), best]
             entries = [base + step.offsets[o] for o in live]
             for r, (z, c) in enumerate(zip(zs, best.tolist())):
                 cand, br = candidates[c]
-                kids = [
-                    done[a][1][start[a] + r * len(sets[a]) + at[a][sel]]
-                    for a, sel in br
-                ]
+                kids = [done[a][1][start[a] + r * len(sets[a]) + i] for a, i in br]
                 trees[z] = (step.j, entries, cand, kids)
         return eu, trees
 
     @staticmethod
-    def _candidates(step, live, base, rules) -> list:
+    def _candidates(step, live, base, rules) -> tuple:
         """The candidate rules over the live states, in lexicographic order,
-        each with the (option, states taking it) branches it uses."""
+        each with the branches it uses, as (option, index of the set of live
+        states taking it); and per option those sets, first seen first.
+        While searching they depend on the live states alone, so the step
+        keeps them; evaluating, the one candidate is the given rule's."""
+        if rules is None and live in step.searched:
+            return step.searched[live]
         if rules is None:
             candidates = itertools.product(range(step.options), repeat=len(live))
         else:
             rule = rules[step.j]
             candidates = [tuple(rule[base + step.offsets[o]] for o in live)]
-        return [
-            (
-                cand,
-                [
-                    (a, tuple(o for o, c in zip(live, cand) if c == a))
-                    for a in sorted(set(cand))
-                ],
-            )
-            for cand in candidates
-        ]
+        sets: list[dict] = [{} for _ in range(step.options)]
+        out = []
+        for cand in candidates:
+            br = []
+            for a in sorted(set(cand)):
+                sel = tuple(o for o, c in zip(live, cand) if c == a)
+                br.append((a, sets[a].setdefault(sel, len(sets[a]))))
+            out.append((cand, br))
+        found = out, [list(s) for s in sets]
+        if rules is None:
+            step.searched[live] = found
+        return found
 
     def _branch(self, s, step, f, hist, items, rules):
         """For each (row, states) item, the row's worlds where the decision
         (now last in ``hist``) observes one of the states, scored from here
         on: values and chosen entries per item."""
         mask = np.zeros((len(items), len(step.offsets)))
-        mask[
-            [i for i, (_, sel) in enumerate(items) for _ in sel],
-            [o for _, sel in items for o in sel],
-        ] = 1.0
-        f = np.einsum(
-            step.restrict,
-            f[[z for z, _ in items]],
-            mask.reshape((len(items),) + step.shape),
-        )
+        rows = [i for i, (_, sel) in enumerate(items) for _ in sel]
+        mask[rows, [o for _, sel in items for o in sel]] = 1.0
+        mask = mask.reshape((len(items),) + step.shape)
+        f = np.einsum(step.restrict, f[[z for z, _ in items]], mask)
         eu = np.zeros(len(items))
         for u, spec in step.values:
             eu += np.einsum(spec, f, u.at(hist))
@@ -598,7 +595,7 @@ class _Plan:
         else:
             rule = rules[step.j]
             choice = np.array([[rule[base + o] for o in step.offsets]] * len(f))
-        eu = np.take_along_axis(table, choice[:, None, :], axis=1).sum(axis=(1, 2))
+        eu = table[np.arange(len(f))[:, None], choice, step.columns].sum(axis=1)
         entries = [base + o for o in step.offsets]
         return eu, [(step.j, entries, row, ()) for row in choice.tolist()]
 
@@ -612,9 +609,9 @@ class _Plan:
             for a in range(decision.options):
                 h = hist + (a,)
                 g = np.zeros(())
-                for step, terms, joint, spec in self.tail:
+                for step, aligned, spec in self.tail:
                     parts = [g] + [u.at(h) for u, _ in step.values]
-                    g = sum(_align(sc, p, joint) for sc, p in zip(terms, parts))
+                    g = sum(p.transpose(o)[i] for p, (o, i) in zip(parts, aligned))
                     if spec is not None:
                         g = np.einsum(spec, step.table.at(h), g)
                 per_option.append(g)
@@ -649,8 +646,9 @@ def _search_bound(decisions, evaluating: bool) -> int:
 # diagram is hashed and at most one plan is held; replaced as one tuple, so
 # a reader never pairs a diagram with another's plan.  A solving plan is
 # admissible for evaluation (evaluating never bounds more branches or
-# frontier rows), and its utility-to-go cache is keyed by decision values,
-# not by rules, so reusing it is exact.
+# frontier rows), its utility-to-go cache is keyed by decision values,
+# not by rules, and evaluating never reads the candidates it keeps, so
+# reusing it is exact.
 _last_plan: tuple = (None, None)
 
 
@@ -703,7 +701,8 @@ class _Dense:
     def _aligned(self, scope, flat) -> np.ndarray:
         """A flat table over ``scope`` on the dense axes."""
         shape = tuple(len(self.did.states(v)) for v in scope)
-        return _align(scope, np.asarray(flat).reshape(shape), self.nodes)
+        order, index = _alignment(scope, self.nodes)
+        return np.asarray(flat).reshape(shape).transpose(order)[index]
 
     def indicator(self, rule: DecisionRule) -> np.ndarray:
         """The rule as one-hot rows over its options, on the dense axes."""
@@ -794,9 +793,6 @@ def brute_force(did: DeployedDid) -> Policy:
         if best_eu is None or eu > best_eu:
             best_eu = eu
             best_assign = rules
-    if best_eu is None:  # no decisions: the single empty policy
-        best_eu = dense.expected_utility(())
-        best_assign = []
     return Policy(tuple(best_assign), best_eu)
 
 

@@ -9,7 +9,16 @@ import pytest
 
 from tdid.model import ModelError, parse, serialize
 from tdid.abstraction import retime
-from tdid.deploy import DeployedTable, collapse_copies, deploy, eliminate_barren
+from tdid.deploy import (
+    DeployedDid,
+    DeployedTable,
+    DeployedUtility,
+    SliceNode,
+    collapse_copies,
+    deploy,
+    eliminate_barren,
+    node_name,
+)
 from tdid.solve import (
     FRONTIER_CAP,
     SEARCH_CAP,
@@ -361,6 +370,21 @@ def _unsolvable_diagrams():
         ghost, ghost, ghost,
         id="read-table-of-no-node",
     )
+    for node, by_evaluation in [
+        (c, (SolveError, "C@1 has no states")),
+        (d1, (SolveError, "policy for D1@1 picks an unknown option")),
+    ]:
+        stateless = (SolveError, f"{node_name(node)} has no states")
+        yield pytest.param(
+            dataclasses.replace(
+                did,
+                nodes=tuple(
+                    n._replace(states=()) if n.id == node else n for n in did.nodes
+                ),
+            ),
+            stateless, stateless, by_evaluation,
+            id=f"{node[0]}-has-no-states",
+        )
 
 
 @pytest.mark.parametrize(
@@ -548,6 +572,31 @@ def test_preflight_refuses_a_wide_frontier():
         solve(did)
 
 
+def test_a_step_reading_more_variables_than_einsum_letters_is_refused():
+    # 53 one-state chance nodes and a decision, all read by one utility:
+    # the step placing the 52nd chance node reads 52 of them and the batch
+    # axis, one variable more than einsum has letters.  Models need two
+    # states per variable, so the diagram is built as deployed.
+    chance = [(f"C{k}", 1) for k in range(53)]
+    d = ("D", 1)
+    did = DeployedDid(
+        slices=(1,),
+        nodes=tuple(SliceNode(*c, "chance", ("s",)) for c in chance)
+        + (SliceNode(*d, "decision", ("a", "b")), SliceNode("U", 1, "value", ())),
+        tables=tuple(DeployedTable(c, (), ((1.0,),)) for c in chance),
+        utilities=(DeployedUtility(("U", 1), tuple(chance) + (d,), (1.0, 0.0)),),
+        decisions=((d, ()),),
+    )
+    message = "a solver step reads 53 variables, above the cap of 52"
+    with pytest.raises(SolveCapError) as raised:
+        solve(did)
+    assert str(raised.value) == message
+    policy = Policy((DecisionRule(d, (), (0,)),), 0.0)
+    with pytest.raises(SolveCapError) as raised:
+        evaluate_policy(dataclasses.replace(did), policy)
+    assert str(raised.value) == message
+
+
 def test_solved_policy_achieves_its_meu_on_wide_random_models():
     # Three or four decisions: the search batches branches of many rule
     # candidates that share a decision history, and each history's chosen
@@ -620,6 +669,30 @@ def test_evaluate_policy_reuses_the_plan_solve_built(plans):
     assert twin == did and twin is not did
     assert evaluate_policy(twin, p) == value
     assert plans == [False, True]
+
+
+def test_evaluation_on_the_solving_plan_is_bitwise_that_of_a_fresh_plan(plans):
+    # What the search keeps on its plan (candidates, utilities-to-go) must
+    # not change what evaluating a policy on that plan adds up.
+    rng = np.random.default_rng(43)
+    cases = corpus(40, seed=41)
+    for m, did in cases:
+        rules = solve(did).rules
+        for _ in range(3):
+            choices = [
+                rng.integers(0, len(did.states(r.node)), len(r.choices)) for r in rules
+            ]
+            policy = Policy(
+                tuple(
+                    DecisionRule(r.node, r.observations, tuple(c.tolist()))
+                    for r, c in zip(rules, choices)
+                ),
+                0.0,
+            )
+            reused = evaluate_policy(did, policy)
+            fresh = evaluate_policy(dataclasses.replace(did), policy)
+            assert reused == fresh, serialize(m)
+    assert plans == [False, True, True, True] * len(cases)
 
 
 def test_evaluate_policy_ignores_the_plan_of_another_diagram(plans):
