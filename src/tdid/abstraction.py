@@ -23,6 +23,7 @@ from .model import (
     CondensedTdid,
     ModelError,
     ModelFormatError,
+    _ancestors,
     _decode,
     _logical_lines,
     validate,
@@ -118,19 +119,17 @@ def abstract_space(model: CondensedTdid, drop) -> CondensedTdid:
     if not drop:
         return model
 
+    parents = {
+        v.name: {a.src for a in model.arcs_into(v.name)} for v in model.variables
+    }
     removed = set(drop)
     for v in model.variables:
-        if v.kind == VALUE and v.name not in removed:
-            parents = {a.src for a in model.arcs_into(v.name)}
-            if parents & removed:
-                removed.add(v.name)
+        if v.kind == VALUE and v.name not in removed and parents[v.name] & removed:
+            removed.add(v.name)
 
     broken: list[str] = []
     for v in model.variables:
-        if v.kind != CHANCE or v.name in removed:
-            continue
-        parents = {a.src for a in model.arcs_into(v.name)}
-        if parents & drop:
+        if v.kind == CHANCE and v.name not in removed and parents[v.name] & drop:
             for t in model.cpds:
                 if t.variable == v.name:
                     at = "*" if t.stationary else t.time_index
@@ -141,21 +140,14 @@ def abstract_space(model: CondensedTdid, drop) -> CondensedTdid:
     # Transitive barrenness: no directed path to any surviving value
     # variable.  Arcs into decisions count as paths — an observed variable
     # can still steer choices downstream.
-    useful: set[str] = set()
-    frontier = [
-        v.name for v in model.variables if v.kind == VALUE and v.name not in removed
-    ]
-    while frontier:
-        name = frontier.pop()
-        if name in useful:
-            continue
-        useful.add(name)
-        for a in model.arcs_into(name):
-            if a.src not in removed and a.src not in useful:
-                frontier.append(a.src)
+    kept = [v for v in model.variables if v.name not in removed]
+    useful = _ancestors(
+        {v.name: parents[v.name] - removed for v in kept},
+        [v.name for v in kept if v.kind == VALUE],
+    )
     removed |= {v.name for v in model.variables if v.name not in useful}
 
-    if not any(v.kind == VALUE and v.name not in removed for v in model.variables):
+    if not any(v.kind == VALUE for v in kept):
         raise ModelError("abstraction would remove every value variable")
 
     out = replace(

@@ -13,6 +13,7 @@ disagreement, 4 resource cap exceeded.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .abstraction import abstract_space, retime
@@ -25,7 +26,7 @@ from .metareason import (
     select,
     selection_report,
 )
-from .model import ModelError, parse, serialize, validate
+from .model import _READ_FLAGS, ModelError, _read, parse, serialize, validate
 from .solve import (
     CapError,
     brute_force,
@@ -44,8 +45,9 @@ EXIT_CAP = 4
 
 
 def _read_model(path: str):
-    with open(path, "rb") as fh:
-        return parse(fh.read())
+    # Blocking, unlike a knowledge-base read: the model path may be a pipe
+    # (``tdid validate <(cat model.tdid)``) whose writer has not written yet.
+    return parse(_read(path, _READ_FLAGS & ~getattr(os, "O_NONBLOCK", 0)))
 
 
 def _write(text: str, out: str | None) -> None:

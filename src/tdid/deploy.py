@@ -32,6 +32,7 @@ from .model import (
     VALUE,
     CondensedTdid,
     ModelError,
+    _ancestors,
     parent_signature,
     validate,
 )
@@ -247,22 +248,6 @@ def deploy(model: CondensedTdid, *, barren: bool = True) -> DeployedDid:
         tuple((d, parents_of[d]) for d in _order_decisions(nodes, parents_of)),
     )
     return eliminate_barren(did) if barren else did
-
-
-def _ancestors(parents_of, roots, within=None, out=None) -> set[NodeId]:
-    """The roots and every node with a directed path to one of them; with
-    ``within``, only along paths that stay in that slice.  ``out``, if
-    given, is an earlier result: it grows in place, and its nodes are not
-    walked again."""
-    out = set() if out is None else out
-    stack = [r for r in dict.fromkeys(roots) if r not in out]
-    out.update(stack)
-    while stack:
-        for p in parents_of.get(stack.pop(), ()):
-            if p not in out and (within is None or p[1] == within):
-                out.add(p)
-                stack.append(p)
-    return out
 
 
 def _order_decisions(nodes, parents_of) -> list[NodeId]:

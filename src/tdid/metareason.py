@@ -21,7 +21,6 @@ deliberation time t*, the model to use, and the full curve.
 
 from __future__ import annotations
 
-import errno
 import math
 import os
 import pathlib
@@ -29,7 +28,7 @@ from dataclasses import dataclass, replace
 
 from ._fmt import canonical_json, fmt_float, fmt_int
 from .deploy import deploy, table_entry_count
-from .model import CondensedTdid, ModelError, ModelFormatError, _decode
+from .model import CondensedTdid, ModelError, ModelFormatError, _decode, _read
 from .model import parse as parse_model
 from .model import serialize as serialize_model
 from .solve import Policy, solve
@@ -383,37 +382,6 @@ class _Record:
 # same entry.  A changed file replaces the record, policy and all, so a
 # policy is only ever served for the model it was solved from.
 _records: dict[str, _Record] = {}
-
-
-# Non-blocking, so that a FIFO in the knowledge base reads as empty (and
-# fails the load) instead of waiting for a writer.
-_READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0) | getattr(os, "O_NONBLOCK", 0)
-
-
-# No manifest or model comes near this; an endless file (a link to
-# /dev/zero, say) fails the load at it instead of exhausting memory.
-_READ_CAP = 64 << 20  # bytes per file
-
-
-def _read(path: str) -> bytes:
-    """The whole file, at most ``_READ_CAP`` bytes, through raw descriptor
-    calls: ``open()`` would build a file object and a buffer for every
-    file of every load."""
-    fd = os.open(path, _READ_FLAGS)
-    try:
-        chunks = []
-        size = 0
-        while chunk := os.read(fd, 1 << 16):
-            size += len(chunk)
-            if size > _READ_CAP:
-                raise OSError(errno.EFBIG, os.strerror(errno.EFBIG))
-            chunks.append(chunk)
-    except OSError as err:
-        # os.read names no file (a directory fails here, not at os.open).
-        raise OSError(err.errno, err.strerror, path) from None
-    finally:
-        os.close(fd)
-    return b"".join(chunks)
 
 
 def _load_entry(manifest: str) -> SuiteEntry:

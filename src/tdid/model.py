@@ -18,7 +18,9 @@ implement the line-oriented text format documented in the README.
 
 from __future__ import annotations
 
+import errno
 import math
+import os
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -404,6 +406,10 @@ def _check_table(model, t, covered, times) -> list[str]:
     return out
 
 
+# ---------------------------------------------------------------------------
+# Graph helpers
+
+
 def _inst_cycle(model: CondensedTdid) -> list[str] | None:
     """Find one cycle among instantaneous arcs, or None.
 
@@ -433,6 +439,23 @@ def _inst_cycle(model: CondensedTdid) -> list[str] | None:
                 path.append(c)
                 pending.append(iter(children[c]))
     return None
+
+
+def _ancestors(parents_of, roots, within=None, out=None) -> set:
+    """The roots and every node with a directed path to one of them, where
+    ``parents_of`` maps a node to its parents.  With ``within``, nodes are
+    (name, slice) pairs and only paths that stay in that slice count.
+    ``out``, if given, is an earlier result: it grows in place, and its
+    nodes are not walked again."""
+    out = set() if out is None else out
+    stack = [r for r in dict.fromkeys(roots) if r not in out]
+    out.update(stack)
+    while stack:
+        for p in parents_of.get(stack.pop(), ()):
+            if p not in out and (within is None or p[1] == within):
+                out.add(p)
+                stack.append(p)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -654,6 +677,36 @@ def _parse_table(toks, ln, rows: bool):
     if not values:
         raise ModelFormatError("utility table lists no values", ln)
     return name, idx, parents, values
+
+
+# Non-blocking by default, so that a FIFO in a knowledge base reads as
+# empty (and fails the load) instead of waiting for a writer.
+_READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0) | getattr(os, "O_NONBLOCK", 0)
+
+# No manifest or model comes near this; an endless file (a link to
+# /dev/zero, say) fails the read at it instead of exhausting memory.
+_READ_CAP = 64 << 20  # bytes per file
+
+
+def _read(path: str, flags: int = _READ_FLAGS) -> bytes:
+    """The whole file, at most ``_READ_CAP`` bytes, through raw descriptor
+    calls opened with ``flags``: ``open()`` would build a file object and
+    a buffer for every file of every knowledge-base load."""
+    fd = os.open(path, flags)
+    try:
+        chunks = []
+        size = 0
+        while chunk := os.read(fd, 1 << 16):
+            size += len(chunk)
+            if size > _READ_CAP:
+                raise OSError(errno.EFBIG, os.strerror(errno.EFBIG))
+            chunks.append(chunk)
+    except OSError as err:
+        # os.read names no file (a directory fails here, not at os.open).
+        raise OSError(err.errno, err.strerror, path) from None
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
 
 
 def _decode(text: str | bytes) -> str:

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deploy import DeployedDid, NodeId, node_name
-from .model import VALUE, ModelError
+from .model import VALUE, ModelError, _ancestors
 
 __all__ = [
     "SolveError",
@@ -299,21 +299,17 @@ class _Plan:
                 f"the cap of {SEARCH_CAP}"
             )
         tables = did.table_by_node
-        needed: set[NodeId] = set()
-        stack = [p for u in did.utilities for p in u.parents]
-        stack += [o for d in order for o in info[d]]
-        while stack:
-            n = stack.pop()
-            if n in dpos or n in needed:
-                continue
-            if n not in tables:
-                raise SolveError(f"{node_name(n)} is read but has no distribution")
-            did.node(n)  # a table of no node: ModelError, as in brute_force
-            needed.add(n)
-            stack.extend(tables[n].parents)
+        reads = [p for u in did.utilities for p in u.parents]
+        reads += [o for d in order for o in info[d]]
+        needed = _ancestors(did.parents_of, reads).difference(dpos)
         # A node that is not needed never unlocks a needed one, so the needed
         # nodes and decisions keep the order a schedule of them alone gives.
         sequence = [n for n in schedule if n in needed or n in dpos]
+        for n in sequence:
+            if n in needed:
+                if n not in tables:
+                    raise SolveError(f"{node_name(n)} is read but has no distribution")
+                did.node(n)  # a table of no node: ModelError, as in brute_force
         pos = {n: s for s, n in enumerate(sequence)}
 
         # The step each value node is scored at, and the last step reading

@@ -1,10 +1,12 @@
 """Random valid condensed models for property and oracle tests.
 
-Models are kept deliberately small: binary states everywhere and a bounded
+Models are kept deliberately small: binary states by default and a bounded
 number of deployed non-value nodes, so the brute-force oracle stays cheap.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -24,16 +26,20 @@ from tdid.model import (
 )
 
 
-def corpus(n, seed, max_policies=512):
-    """n random models whose policy spaces stay oracle-enumerable."""
+def corpus(n, seed, max_policies=512, states=(2, 2), with_decision=False):
+    """n random models whose policy spaces stay oracle-enumerable; with
+    ``with_decision``, only models whose deployed form keeps a decision.
+    ``states`` is passed to ``random_model``."""
     from tdid.deploy import deploy
     from tdid.solve import policy_space_size
 
     rng = np.random.default_rng(seed)
     out = []
     while len(out) < n:
-        m = random_model(rng)
+        m = random_model(rng, states=states)
         did = deploy(m)
+        if with_decision and not did.decisions:
+            continue
         if 0 < policy_space_size(did) <= max_policies:
             out.append((m, did))
     return out
@@ -43,8 +49,14 @@ def random_model(
     rng: np.random.Generator,
     max_deployed_nonvalue: int = 8,
     max_decisions: int = 2,
+    states: tuple[int, int] = (2, 2),
 ) -> CondensedTdid:
-    """One random valid model with ≤ max_deployed_nonvalue non-value nodes."""
+    """One random valid model with ≤ max_deployed_nonvalue non-value nodes.
+
+    Each chance and decision variable gets between ``states[0]`` and
+    ``states[1]`` states.  The binary default draws no state counts, so it
+    consumes the generator exactly as it always has.
+    """
     first = int(rng.integers(1, 3))
     n_master = int(rng.integers(1, 5))
     master = [first]
@@ -61,7 +73,11 @@ def random_model(
         kind = DECISION if k < n_decisions else CHANCE
         name = f"{'D' if kind == DECISION else 'C'}{k}"
         times = _random_times(rng, master)
-        variables.append(TemporalVariable(name, kind, ("s0", "s1"), times))
+        n_states = 2
+        if states != (2, 2):
+            n_states = int(rng.integers(states[0], states[1] + 1))
+        labels = tuple(f"s{j}" for j in range(n_states))
+        variables.append(TemporalVariable(name, kind, labels, times))
     rng.shuffle(variables)
 
     n_values = int(rng.integers(1, 3))
@@ -108,9 +124,10 @@ def random_model(
             targets = list(v.times)
         for i in targets:
             sig = sigs[v.times[0] if i is None else i]
-            n_rows = 2 ** len(sig)
+            n_rows = math.prod(len(draft.variable(p).states) for p, _ in sig)
             if v.kind == CHANCE:
-                cpds.append(TabularCpd(v.name, i, sig, _random_rows(rng, n_rows)))
+                rows = _random_rows(rng, n_rows, len(v.states))
+                cpds.append(TabularCpd(v.name, i, sig, rows))
             else:
                 vals = tuple(float(x) for x in rng.uniform(-10, 10, n_rows).round(3))
                 utilities.append(UtilityTable(v.name, i, sig, vals))
@@ -127,9 +144,16 @@ def _random_times(rng: np.random.Generator, master: tuple[int, ...]) -> tuple[in
     return tuple(keep)
 
 
-def _random_rows(rng: np.random.Generator, n_rows: int) -> tuple[tuple[float, ...], ...]:
+def _random_rows(
+    rng: np.random.Generator, n_rows: int, n_states: int = 2
+) -> tuple[tuple[float, ...], ...]:
     rows = []
     for _ in range(n_rows):
-        p = round(float(rng.uniform(0.05, 0.95)), 4)
-        rows.append((p, 1.0 - p))  # exact row sum by construction
+        if n_states == 2:
+            p = round(float(rng.uniform(0.05, 0.95)), 4)
+            rows.append((p, 1.0 - p))  # exact row sum by construction
+        else:
+            w = rng.uniform(0.05, 1.0, n_states)
+            head = [round(float(x), 4) for x in w[:-1] / w.sum()]
+            rows.append((*head, 1.0 - sum(head)))  # sums to 1 within 1e-15
     return tuple(rows)

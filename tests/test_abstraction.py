@@ -99,6 +99,52 @@ def test_copies_exactly_at_dropped_indices_random_models():
 # --- abstract_space ----------------------------------------------------------
 
 
+def _kept_by_reference_walk(model, drop):
+    """Names abstract_space keeps when dropping ``drop`` (one variable),
+    or None where it must refuse: a retained chance variable reads the
+    dropped one, or no value variable survives."""
+    parents = {
+        v.name: {a.src for a in model.arcs_into(v.name)} for v in model.variables
+    }
+    removed = {drop} | {
+        v.name for v in model.variables if v.kind == "value" and drop in parents[v.name]
+    }
+    if any(
+        v.kind == "chance" and v.name not in removed and drop in parents[v.name]
+        for v in model.variables
+    ):
+        return None
+    useful = set()
+    frontier = [
+        v.name for v in model.variables if v.kind == "value" and v.name not in removed
+    ]
+    while frontier:
+        name = frontier.pop()
+        if name not in useful:
+            useful.add(name)
+            frontier.extend(parents[name] - removed - useful)
+    kept = [v.name for v in model.variables if v.name in useful]
+    return kept if any(model.variable(n).kind == "value" for n in kept) else None
+
+
+def test_abstract_space_keeps_what_a_reference_walk_keeps():
+    rng = np.random.default_rng(37)
+    checked = refused = 0
+    for _ in range(300):
+        m = random_model(rng)
+        for v in m.variables:
+            want = _kept_by_reference_walk(m, v.name)
+            if want is None:
+                refused += 1
+                with pytest.raises(ModelError):
+                    abstract_space(m, {v.name})
+            else:
+                checked += 1
+                got = abstract_space(m, {v.name})
+                assert [x.name for x in got.variables] == want, serialize(m)
+    assert checked > 300 and refused > 100
+
+
 def test_drop_cd_removes_dependent_chain(cardiac):
     m = abstract_space(cardiac, {"CD"})
     names = {v.name for v in m.variables}

@@ -8,6 +8,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import time
 
 try:
     import resource
@@ -522,6 +523,50 @@ def test_select_hostile_entry_fails_with_one_line(kb, kind, role, code, error):
         preexec_fn=_limit_address_space if resource else None,
     )
     assert (proc.returncode, proc.stderr) == (code, f"error: {error.format(kb=kb)}\n")
+
+
+def _tdid_child(*argv, **kwargs):
+    """``python -m tdid`` as a child process with, where the platform
+    allows, a bounded address space; callers wait on it with a timeout."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "tdid", *map(str, argv)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        preexec_fn=_limit_address_space if resource else None,
+        **kwargs,
+    )
+
+
+@needs_zero
+@pytest.mark.parametrize("command", ["validate", "deploy", "solve", "abstract"])
+def test_endless_model_file_fails_with_one_line(command):
+    # An unbounded read would end in a MemoryError traceback here.
+    proc = _tdid_child(command, "/dev/zero")
+    _, err = proc.communicate(timeout=30)
+    want = "error: [Errno 27] File too large: '/dev/zero'\n"
+    assert (proc.returncode, err) == (2, want)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_model_path_may_be_a_pipe_written_late(fixtures_dir):
+    # Half the model, a pause, then the rest: a non-blocking read would
+    # stop at the pause instead of waiting for the writer.
+    data = (fixtures_dir / "cardiac.tdid").read_bytes()
+    r, w = os.pipe()
+    try:
+        proc = _tdid_child("validate", f"/dev/fd/{r}", pass_fds=(r,))
+        os.close(r)
+        os.write(w, data[: len(data) // 2])
+        time.sleep(0.5)
+        os.write(w, data[len(data) // 2 :])
+    finally:
+        os.close(w)
+    _, err = proc.communicate(timeout=30)
+    assert (proc.returncode, err) == (0, "")
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,65 @@ def test_deep_instantaneous_chain_within_recursion_limit():
     assert cycle[0].endswith(" -> V1499 -> V0")
 
 
+def _inst_cycle_by_colours(model):
+    """Reference cycle finder: a three-colour depth-first search from each
+    declared variable in declaration order, children in arc order."""
+    children = {v.name: [] for v in model.variables}
+    for a in model.arcs:
+        if a.kind == INST and a.src in children and a.dst in children:
+            children[a.src].append(a.dst)
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color = {n: WHITE for n in children}
+    for root in children:
+        if color[root] != WHITE:
+            continue
+        color[root] = GRAY
+        path, pending = [root], [iter(children[root])]
+        while pending:
+            c = next(pending[-1], None)
+            if c is None:
+                color[path.pop()] = BLACK
+                pending.pop()
+            elif color[c] == GRAY:
+                return path[path.index(c):] + [c]
+            elif color[c] == WHITE:
+                color[c] = GRAY
+                path.append(c)
+                pending.append(iter(children[c]))
+    return None
+
+
+def test_cycle_message_matches_reference_search_on_random_graphs():
+    # Self-loops, duplicate instantaneous arcs and arcs to undeclared
+    # variables included; arcs of an undeclared end are never followed.
+    rng = np.random.default_rng(31)
+    pool = [f"N{k}" for k in range(9)]
+    cyclic = 0
+    for _ in range(3000):
+        declared = list(rng.permutation(pool)[: int(rng.integers(1, 8))])
+        ends = declared + ["ghost"]
+        arcs = tuple(
+            Arc(
+                str(ends[int(rng.integers(0, len(ends)))]),
+                str(ends[int(rng.integers(0, len(ends)))]),
+                INST if rng.random() < 0.8 else LAG,
+            )
+            for _ in range(int(rng.integers(0, 12)))
+        )
+        variables = tuple(
+            TemporalVariable(str(n), CHANCE, ("a", "b"), (1,)) for n in declared
+        )
+        m = CondensedTdid((1,), variables, arcs, (), ())
+        want = _inst_cycle_by_colours(m)
+        got = [p for p in validate(m) if p.startswith("instantaneous arcs form")]
+        if want is None:
+            assert got == [], m
+        else:
+            cyclic += 1
+            assert got == ["instantaneous arcs form a cycle: " + " -> ".join(want)], m
+    assert 1000 < cyclic < 2900  # both outcomes well covered
+
+
 def test_first_index_must_match_master():
     m = CondensedTdid(
         master=(1, 2),

@@ -422,6 +422,24 @@ def test_oracle_equivalence_on_random_corpus():
         assert policies_agree(did, got, want), serialize(m)
 
 
+def test_oracle_equivalence_on_multi_state_decision_corpus():
+    # Two to four states per variable and at least one deployed decision:
+    # a search that skips options past the second, or a tie broken at the
+    # wrong grain, shows here though binary models hide it.
+    for m, raw in corpus(
+        200, seed=5, max_policies=4096, states=(2, 4), with_decision=True
+    ):
+        for did in (raw, collapse_copies(raw)):
+            got = solve(did)
+            want = brute_force(did)
+            assert abs(got.meu - want.meu) <= 1e-9, serialize(m)
+            assert got.rules == want.rules, serialize(m)
+            # On the plan ``solve`` built, and on a fresh one (a copy).
+            value = evaluate_policy(did, got)
+            assert value == evaluate_policy(dataclasses.replace(did), got)
+            assert abs(value - got.meu) <= 1e-9, serialize(m)
+
+
 def test_meu_invariant_under_barren_elimination():
     for m, did in [(m, deploy(m, barren=False)) for m, _ in corpus(25, seed=11)]:
         if policy_space_size(did) > 512:
