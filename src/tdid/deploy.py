@@ -17,6 +17,7 @@ plus every earlier decision; only the informational parents are stored.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
@@ -399,6 +400,18 @@ class _Names(dict):
     def join(self, ids) -> str:
         return " ".join(map(self.__getitem__, ids))
 
+    def arcs(self, did: DeployedDid) -> list[tuple[str, list[str]]]:
+        """Each parent's printed name with its children's, in the order of
+        ``sorted(did.arcs)``: children are sorted once per node, not arcs
+        as pairs, and each parent's name is looked up once."""
+        parents_of = did.parents_of
+        children: defaultdict[NodeId, list[str]] = defaultdict(list)
+        for child in sorted(parents_of):
+            shown = self[child]
+            for p in parents_of[child]:
+                children[p].append(shown)
+        return [(self[p], children[p]) for p in sorted(children)]
+
 
 def serialize_deployed(did: DeployedDid) -> str:
     """Canonical text rendering of a deployed diagram.
@@ -428,7 +441,9 @@ def serialize_deployed(did: DeployedDid) -> str:
             out.append(f"value {name[n.id]}")
         else:
             out.append(f"{n.kind} {name[n.id]} : " + " ".join(n.states))
-    out.extend(f"arc {name[src]} {name[dst]}" for src, dst in sorted(did.arcs))
+    for src, dsts in name.arcs(did):
+        prefix = "arc " + src + " "
+        out.extend([prefix + dst for dst in dsts])
     # Unrolled slices share a few table bodies among many nodes: format each
     # once.  Keyed by identity, not value: -0.0 == 0.0 but prints as "-0".
     body: dict = {}
@@ -467,7 +482,8 @@ def emit_dot(did: DeployedDid) -> str:
         style = ', style=dashed' if n.kind == COPY else ""
         out.append(f'  "{name[n.id]}" [shape={_DOT_SHAPE[n.kind]}{style}];')
     out.append('  "super" [shape=doublecircle];')
-    out.extend(f'  "{name[src]}" -> "{name[dst]}";' for src, dst in sorted(did.arcs))
+    for src, dsts in name.arcs(did):
+        out.extend(f'  "{src}" -> "{dst}";' for dst in dsts)
     out.extend(f'  "{name[v]}" -> "super";' for v in did.value_nodes)
     out.append("}")
     return "\n".join(out) + "\n"

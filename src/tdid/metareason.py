@@ -232,9 +232,27 @@ def make_entry(name: str, model: CondensedTdid, tags=()) -> SuiteEntry:
     )
 
 
+# Deployed diagrams ``solve_entry`` solved, each to its policy, oldest
+# first and at most _POLICY_CAP of them.  Keyed by the value of the five
+# fields, not by the diagram, which would hold its cached views too.
+# ``solve`` reads only the diagram, so equal diagrams have equal policies:
+# a rule's options are picked by comparisons that hold -0.0 and 0.0 equal,
+# and the MEU, a sum that starts from int 0, is never -0.0.
+_POLICY_CAP = 256
+_policies: dict[tuple, Policy] = {}
+
+
 def solve_entry(entry: SuiteEntry) -> tuple[SuiteEntry, Policy]:
-    """Solve the entry's model; fill in its quality."""
-    policy = solve(_deployed(entry.model))
+    """Solve the entry's model; fill in its quality.  Each distinct
+    deployed diagram is solved once per process (see ``_policies``)."""
+    did = _deployed(entry.model)
+    key = (did.slices, did.nodes, did.tables, did.utilities, did.decisions)
+    policy = _policies.get(key)
+    if policy is None:
+        policy = solve(did)
+        if len(_policies) >= _POLICY_CAP:
+            del _policies[next(iter(_policies))]
+        _policies[key] = policy
     return replace(entry, quality=policy.meu), policy
 
 
@@ -359,7 +377,8 @@ def load_kb(path) -> list[SuiteEntry]:
         raise FileNotFoundError(f"knowledge base {str(path)!r} is not a directory")
     root = str(path)
     names = sorted(n for n in os.listdir(root) if n.endswith(".entry"))
-    entries = [_load_entry(os.path.join(root, n)) for n in names]
+    prefix = os.path.join(root, "")  # a listed name holds no separator
+    entries = [_load_entry(prefix + n) for n in names]
     if not entries:
         raise MetareasonError(f"knowledge base {str(path)!r} has no entries")
     return entries

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deploy import DeployedDid, NodeId, node_name
-from .model import VALUE, ModelError, _ancestors
+from .model import DECISION, VALUE, ModelError, _ancestors
 
 __all__ = [
     "SolveError",
@@ -131,18 +131,32 @@ def _schedule(did: DeployedDid) -> list[NodeId]:
     first out as their parents are placed, and each decision, in decision
     order, once everything it observes is placed.  Refuses a diagram where
     no order places every node after its parents and every decision after
-    what it observes."""
-    for n in did.nodes:
-        if n.kind != VALUE and not n.states:
-            raise SolveError(f"{node_name(n.id)} has no states")
+    what it observes.  Also refuses a chance or copy node with no table, a
+    decision node outside the decision order, and a read of anything that
+    has no distribution and is not a decision."""
     order = did.decision_order
     info = did.info_by_decision
+    tables = did.table_by_node
+    for n in did.nodes:
+        if n.kind == VALUE:
+            continue
+        if not n.states:
+            raise SolveError(f"{node_name(n.id)} has no states")
+        if n.kind == DECISION:
+            if n.id not in info:
+                raise SolveError(f"{node_name(n.id)} is not in the decision order")
+        elif n.id not in tables:
+            raise SolveError(f"{node_name(n.id)} has no distribution")
     for d in order:
         if not did.has_node(d):
             raise SolveError(f"decision order names unknown node {node_name(d)}")
+    bare = did.parents_of.keys() - tables.keys() - info.keys()
     waiting: dict[NodeId, int] = {}
     children: dict[NodeId, list[NodeId]] = {}
     for n, parents in did.parents_of.items():
+        if not bare.isdisjoint(parents):
+            p = next(p for p in parents if p in bare)
+            raise SolveError(f"{node_name(p)} is read but has no distribution")
         if n not in info:
             parents = set(parents)
             waiting[n] = len(parents)
@@ -307,8 +321,6 @@ class _Plan:
         sequence = [n for n in schedule if n in needed or n in dpos]
         for n in sequence:
             if n in needed:
-                if n not in tables:
-                    raise SolveError(f"{node_name(n)} is read but has no distribution")
                 did.node(n)  # a table of no node: ModelError, as in brute_force
         pos = {n: s for s, n in enumerate(sequence)}
 

@@ -34,8 +34,14 @@ from tdid.metareason import (
     write_entry,
 )
 from tdid.model import canonical, parse
-from tdid.abstraction import abstract_space, abstract_time, retime
-from tdid.solve import solve
+from tdid.abstraction import (
+    abstract_space,
+    abstract_time,
+    enumerate_abstractions,
+    parse_lattice,
+    retime,
+)
+from tdid.solve import policy_json, solve
 
 TINY = parse(
     """
@@ -323,6 +329,85 @@ def test_solving_an_entry_just_made_deploys_its_model_once(monkeypatch, fixtures
     twin = parse((fixtures_dir / "two_var_lagged.tdid").read_bytes())
     assert solve_entry(dataclasses.replace(solved, model=twin))[1] == policy
     assert len(deployed) == 2 and deployed[1] is twin
+
+
+DAMAGE_LATTICE = """
+time CD : 1 2 3 | 1 3
+time poa : 1 2 3 | 1 3
+space damage : U_dmg
+space-choices : keep drop
+"""
+
+
+def test_solve_entry_solves_each_distinct_diagram_once(monkeypatch, fixtures_dir):
+    # Dropping U_dmg leaves CD and poa barren, so their four time choices
+    # deploy alike: 8 variants, 5 distinct diagrams.
+    monkeypatch.setattr(metareason, "_policies", {})
+    calls = counting_solve(monkeypatch)
+    model = parse((fixtures_dir / "cardiac.tdid").read_bytes())
+    variants = enumerate_abstractions(model, parse_lattice(DAMAGE_LATTICE))
+    assert len(variants) == 8
+    for k, v in enumerate(variants):
+        solved, policy = solve_entry(make_entry(f"v{k}", v.model, v.tags))
+        fresh = solve(deploy(v.model))
+        assert policy == fresh
+        assert repr(solved.quality) == repr(fresh.meu)
+    assert len(calls) == 5
+
+
+SIGNED_ZERO = """
+tdid 1
+master 1
+chance X : a b
+decision D : go stay
+value U
+arc inst X D
+arc inst X U
+arc inst D U
+cpt X @ 1 | : 0.5 0.5
+util U @ 1 | X D : 0 0 {} 0
+"""
+
+
+@pytest.mark.parametrize("first, second", [("0", "-0"), ("-0", "0")])
+def test_solve_entry_reuse_is_exact_across_signed_zeros(
+    tmp_path, monkeypatch, first, second
+):
+    # -0.0 == 0.0, so the two diagrams share one solve; the reused policy
+    # must print as a fresh solve of each model does.
+    monkeypatch.setattr(metareason, "_policies", {})
+    calls = counting_solve(monkeypatch)
+    for name, zero in (("a", first), ("b", second)):
+        model = parse(SIGNED_ZERO.format(zero))
+        solved, policy = solve_entry(make_entry(name, model))
+        fresh = solve(deploy(model))
+        did = deploy(model)
+        assert policy_json(did, policy) == policy_json(did, fresh)
+        manifest = write_entry(tmp_path / "reused", solved).read_bytes()
+        fresh_entry = dataclasses.replace(solved, quality=fresh.meu)
+        assert manifest == write_entry(tmp_path / "fresh", fresh_entry).read_bytes()
+    assert len(calls) == 1
+    assert b"quality 0\n" in manifest
+
+
+def test_solve_entry_memo_evicts_the_oldest_past_its_bound(monkeypatch):
+    monkeypatch.setattr(metareason, "_policies", {})
+    monkeypatch.setattr(metareason, "_POLICY_CAP", 2)
+    calls = counting_solve(monkeypatch)
+    models = [parse(SIGNED_ZERO.format(u)) for u in ("1", "2", "3")]
+
+    def run(k):
+        solved, policy = solve_entry(make_entry(f"m{k}", models[k]))
+        fresh = solve(deploy(models[k]))
+        assert policy == fresh and repr(solved.quality) == repr(fresh.meu)
+
+    for k in (0, 1, 2):
+        run(k)
+    assert len(calls) == 3 and len(metareason._policies) == 2
+    run(1)  # still held
+    assert len(calls) == 3
+    run(0)  # the oldest, evicted by the third
+    assert len(calls) == 4 and len(metareason._policies) == 2
 
 
 def test_kb_round_trip(tmp_path, fixtures_dir):

@@ -370,6 +370,41 @@ def _unsolvable_diagrams():
         ghost, ghost, ghost,
         id="read-table-of-no-node",
     )
+    # A chance node with no table, read or not: the oracle must not weigh
+    # it as 1 in each of its states.
+    for node, extra in [(c, ()), (("Z", 1), (chance._replace(base="Z"),))]:
+        tableless = (SolveError, f"{node_name(node)} has no distribution")
+        yield pytest.param(
+            dataclasses.replace(
+                did,
+                nodes=did.nodes + extra,
+                tables=tuple(t for t in did.tables if t.node != node),
+            ),
+            tableless, tableless, tableless,
+            id=f"{node[0]}-has-no-table",
+        )
+    # A decision outside the decision order has no rule to weigh it.
+    stray = (SolveError, "E@1 is not in the decision order")
+    yield pytest.param(
+        dataclasses.replace(did, nodes=did.nodes + (did.node(d1)._replace(base="E"),)),
+        stray, stray, stray,
+        id="decision-outside-the-order",
+    )
+    # A value node has no distribution, so no table may read it.
+    v = ("V", 1)
+    unreadable = (SolveError, "V@1 is read but has no distribution")
+    yield pytest.param(
+        dataclasses.replace(
+            did,
+            nodes=did.nodes + (SliceNode(*v, "value", ()),),
+            tables=tuple(
+                t._replace(parents=t.parents + (v,)) if t.node == x else t
+                for t in did.tables
+            ),
+        ),
+        unreadable, unreadable, unreadable,
+        id="value-node-is-read",
+    )
     for node, by_evaluation in [
         (c, (SolveError, "C@1 has no states")),
         (d1, (SolveError, "policy for D1@1 picks an unknown option")),
