@@ -232,27 +232,31 @@ def make_entry(name: str, model: CondensedTdid, tags=()) -> SuiteEntry:
     )
 
 
-# Deployed diagrams ``solve_entry`` solved, each to its policy, oldest
-# first and at most _POLICY_CAP of them.  Keyed by the value of the five
-# fields, not by the diagram, which would hold its cached views too.
-# ``solve`` reads only the diagram, so equal diagrams have equal policies:
-# a rule's options are picked by comparisons that hold -0.0 and 0.0 equal,
-# and the MEU, a sum that starts from int 0, is never -0.0.
+# Models solved here, each to its policy, oldest first and at most
+# _POLICY_CAP of them.  ``deploy`` reads only the model's fields and
+# ``solve`` only the diagram, so equal models have equal policies: a rule's
+# options are picked by comparisons that hold -0.0 and 0.0 equal, and the
+# MEU, a sum that starts from int 0, is never -0.0.  The key is the model
+# as given, not its canonical form, whose sorted arcs may order a
+# decision's observations differently.
 _POLICY_CAP = 256
-_policies: dict[tuple, Policy] = {}
+_policies: dict[CondensedTdid, Policy] = {}
+
+
+def _policy(model: CondensedTdid) -> Policy:
+    policy = _policies.get(model)
+    if policy is None:
+        policy = solve(_deployed(model))
+        if len(_policies) >= _POLICY_CAP:
+            del _policies[next(iter(_policies))]
+        _policies[model] = policy
+    return policy
 
 
 def solve_entry(entry: SuiteEntry) -> tuple[SuiteEntry, Policy]:
-    """Solve the entry's model; fill in its quality.  Each distinct
-    deployed diagram is solved once per process (see ``_policies``)."""
-    did = _deployed(entry.model)
-    key = (did.slices, did.nodes, did.tables, did.utilities, did.decisions)
-    policy = _policies.get(key)
-    if policy is None:
-        policy = solve(did)
-        if len(_policies) >= _POLICY_CAP:
-            del _policies[next(iter(_policies))]
-        _policies[key] = policy
+    """Solve the entry's model; fill in its quality.  Each distinct model
+    is solved once per process (see ``_policies``)."""
+    policy = _policy(entry.model)
     return replace(entry, quality=policy.meu), policy
 
 
@@ -325,9 +329,7 @@ def select(suite, urgency: UrgencyFunction, t0: float | None = None) -> EvcCurve
     One sorted sweep gives Q at every candidate; curve values must be finite.
     """
     if t0 is None:
-        if not suite:
-            raise MetareasonError("empty model suite")
-        t0 = min(e.cost_time for e in suite)
+        t0 = min((e.cost_time for e in suite), default=0.0)
     candidates = sorted({float(t0)} | {e.cost_time for e in suite if e.cost_time >= t0})
     points = []
     best_point, best_entry = None, None
@@ -377,6 +379,11 @@ def load_kb(path) -> list[SuiteEntry]:
         raise FileNotFoundError(f"knowledge base {str(path)!r} is not a directory")
     root = str(path)
     names = sorted(n for n in os.listdir(root) if n.endswith(".entry"))
+    for n in names:  # an entry's name goes into reports, which are UTF-8
+        try:
+            n.encode("utf-8")
+        except UnicodeEncodeError:
+            raise MetareasonError(f"manifest name {n!r} is not valid UTF-8") from None
     prefix = os.path.join(root, "")  # a listed name holds no separator
     entries = [_load_entry(prefix + n) for n in names]
     if not entries:
@@ -386,20 +393,18 @@ def load_kb(path) -> list[SuiteEntry]:
 
 @dataclass(eq=False, slots=True)
 class _Record:
-    """One manifest's last successful load: the bytes of both its files,
-    the entry built from them, and that entry's policy once solved."""
+    """One manifest's last successful load: the bytes of both its files
+    and the entry built from them."""
 
     manifest: bytes
     model_path: str
     model: bytes
     entry: SuiteEntry
-    policy: Policy | None = None
 
 
 # Manifest path -> its record.  An entry is a pure function of its two
 # files' bytes and entries are immutable, so equal bytes may return the
-# same entry.  A changed file replaces the record, policy and all, so a
-# policy is only ever served for the model it was solved from.
+# same entry.  A changed file replaces the record.
 _records: dict[str, _Record] = {}
 
 
@@ -414,17 +419,6 @@ def _load_entry(manifest: str) -> SuiteEntry:
             pass  # read again, and reported, below
     record = _records[manifest] = _read_entry(pathlib.Path(manifest), data)
     return record.entry
-
-
-def _solved(kb_path, entry: SuiteEntry) -> Policy:
-    """The entry's policy, solved at most once per record of its manifest."""
-    manifest = os.path.join(str(pathlib.Path(kb_path)), f"{entry.name}.entry")
-    record = _records.get(manifest)
-    if record is None or record.entry.model is not entry.model:
-        return solve(deploy(entry.model))
-    if record.policy is None:
-        record.policy = solve(deploy(entry.model))
-    return record.policy
 
 
 def _read_entry(manifest: pathlib.Path, data: bytes) -> _Record:
@@ -467,7 +461,7 @@ def _read_entry(manifest: pathlib.Path, data: bytes) -> _Record:
     def number(key, kind):
         try:
             x = kind(fields[key])
-            if math.isfinite(x):
+            if kind is int or math.isfinite(x):  # an int is finite, however long
                 return x
         except ValueError:
             pass
@@ -542,19 +536,18 @@ def prepare_suite(
     policies: dict[str, Policy] = {}
     for k, e in enumerate(suite):
         if e.quality is None:
-            policies[e.name] = policy = _solved(kb_path, e)
+            policies[e.name] = policy = _policy(e.model)
             suite[k] = replace(e, quality=policy.meu)
     return suite, policies
 
 
 def construct(kb_path, problem: Problem) -> ConstructResult:
     """Full selection pipeline over a knowledge base: ``prepare_suite``,
-    ``select``, then the winner's policy, solved once per loaded model."""
-    suite, policies = prepare_suite(kb_path, problem)
+    ``select``, then the winner's policy (see ``_policies``)."""
+    suite, _ = prepare_suite(kb_path, problem)
     curve = select(suite, problem.urgency, problem.t0)
     winner = curve.best
-    policy = policies.get(winner.name) or _solved(kb_path, winner)
-    return ConstructResult(curve, winner, policy, tuple(suite))
+    return ConstructResult(curve, winner, _policy(winner.model), tuple(suite))
 
 
 def selection_report(curve: EvcCurve, meu: float | None = None) -> str:

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURES, cardiac_text
 from tdid.cli import main
-from tdid.metareason import CostModel, make_entry, with_cost, write_entry
+from tdid.metareason import CostModel, load_kb, make_entry, with_cost, write_entry
 from tdid.model import parse, serialize
 from tdid.abstraction import abstract_time
 
@@ -438,6 +438,31 @@ def test_select_refuses_negative_intervals(capsys, kb):
     set_manifest_field(kb / "full.entry", "intervals", "-1")
     code, _, err = run(capsys, "select", kb, "--urgency", "linear:1")
     assert code == 1 and one_error_line(err) and "intervals must be nonnegative" in err
+
+
+@pytest.mark.parametrize("field", ["space", "intervals"])
+def test_select_accepts_a_manifest_integer_of_any_length(capsys, kb, field):
+    # An int is finite however long; only floats are checked for finiteness.
+    big = "9" * 400
+    set_manifest_field(kb / "full.entry", field, big)
+    code, _, err = run(capsys, "select", kb, "--urgency", "linear:1")
+    assert (code, err) == (0, "")
+    full = next(e for e in load_kb(kb) if e.name == "full")
+    assert {"space": full.space_size, "intervals": full.n_intervals}[field] == int(big)
+
+
+@pytest.mark.parametrize("command", ["select", "evc"])
+def test_selection_refuses_a_manifest_name_not_utf8(capsys, tmp_path, kb, command):
+    # The entry's name would go into the UTF-8 report: refuse it at load.
+    (kb / "coarse.entry").unlink()  # so that the renamed entry wins
+    try:
+        os.rename(kb / "full.entry", os.path.join(os.fsencode(kb), b"\xff.entry"))
+    except OSError:
+        pytest.skip("the filesystem refuses a file name that is not UTF-8")
+    out = tmp_path / "report.json"
+    code, _, err = run(capsys, command, kb, "--urgency", "linear:1", "-o", out)
+    name = os.fsdecode(b"\xff.entry")
+    assert (code, err) == (1, f"error: manifest name {name!r} is not valid UTF-8\n")
 
 
 def test_select_requires_urgency(capsys, kb):

@@ -175,6 +175,9 @@ def test_quality_infeasible_budget():
         quality(suite_two(), 0.5)
     with pytest.raises(MetareasonError, match="empty"):
         quality([], 1.0)
+    for t0 in (None, 1.0):
+        with pytest.raises(MetareasonError, match="empty model suite"):
+            select([], UrgencyFunction.linear(1.0), t0)
 
 
 def test_quality_requires_solved_entries():
@@ -320,6 +323,7 @@ def test_solving_an_entry_just_made_deploys_its_model_once(monkeypatch, fixtures
         deployed.append(model)
         return deploy(model, *args, **kwargs)
 
+    monkeypatch.setattr(metareason, "_policies", {})
     monkeypatch.setattr(metareason, "deploy", counting)
     model = parse((fixtures_dir / "two_var_lagged.tdid").read_bytes())
     solved, policy = solve_entry(make_entry("full", model))
@@ -327,7 +331,7 @@ def test_solving_an_entry_just_made_deploys_its_model_once(monkeypatch, fixtures
     assert policy == solve(deploy(model))
     # An equal but distinct model is deployed afresh.
     twin = parse((fixtures_dir / "two_var_lagged.tdid").read_bytes())
-    assert solve_entry(dataclasses.replace(solved, model=twin))[1] == policy
+    assert solve_entry(make_entry("twin", twin))[1] == policy
     assert len(deployed) == 2 and deployed[1] is twin
 
 
@@ -598,6 +602,7 @@ def counting_solve(monkeypatch):
 
 def test_construct_solves_each_winner_once(tmp_path, fixtures_dir, monkeypatch):
     kb, urgencies = build_solved_kb(tmp_path, fixtures_dir)
+    monkeypatch.setattr(metareason, "_policies", {})
     calls = counting_solve(monkeypatch)
     winners = set()
     for _ in range(3):
@@ -622,6 +627,7 @@ def test_construct_after_winner_model_rewritten(tmp_path, fixtures_dir, monkeypa
 
 def test_prepare_suite_solves_unsolved_entry_once(tmp_path, fixtures_dir, monkeypatch):
     kb = build_kb(tmp_path, fixtures_dir)
+    monkeypatch.setattr(metareason, "_policies", {})
     calls = counting_solve(monkeypatch)
     problem = Problem(urgency=UrgencyFunction.linear(0.0))
     first = metareason.prepare_suite(kb, problem)
@@ -629,6 +635,22 @@ def test_prepare_suite_solves_unsolved_entry_once(tmp_path, fixtures_dir, monkey
     assert len(calls) == 2  # one per unsolved entry, both in the first call
     assert first == second
     assert sorted(first[1]) == ["coarse", "full"]
+
+
+def test_two_knowledge_bases_with_one_model_share_its_solve(
+    tmp_path, fixtures_dir, monkeypatch
+):
+    # Each directory's models are parsed afresh, but they are equal, so the
+    # second knowledge base is served from the first one's solves.
+    kb = build_kb(tmp_path, fixtures_dir)
+    copy = shutil.copytree(kb, tmp_path / "copy")
+    monkeypatch.setattr(metareason, "_policies", {})
+    calls = counting_solve(monkeypatch)
+    problem = Problem(urgency=UrgencyFunction.linear(0.0))
+    first, second = construct(kb, problem), construct(copy, problem)
+    assert first.entry.model is not second.entry.model
+    assert first.policy == second.policy == solve(deploy(first.entry.model))
+    assert len(calls) == 2
 
 
 def test_construct_pipeline(tmp_path, fixtures_dir):
