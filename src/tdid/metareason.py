@@ -25,6 +25,8 @@ import math
 import os
 import pathlib
 from dataclasses import dataclass, replace
+from operator import attrgetter
+from typing import NamedTuple
 
 from ._fmt import canonical_json, fmt_float, fmt_int
 from .deploy import deploy, table_entry_count
@@ -61,6 +63,10 @@ class MetareasonError(ModelError):
     """Selection cannot proceed as posed."""
 
 
+def _bad_cost(name: str) -> MetareasonError:
+    return MetareasonError(f"entry {name!r}: cost must be finite and nonnegative")
+
+
 @dataclass(frozen=True)
 class SuiteEntry:
     """One candidate model with its selection annotations.
@@ -81,9 +87,7 @@ class SuiteEntry:
 
     def __post_init__(self):
         if not 0 <= self.cost_time < math.inf:
-            raise MetareasonError(
-                f"entry {self.name!r}: cost must be finite and nonnegative"
-            )
+            raise _bad_cost(self.name)
         if self.space_size < 1:
             raise MetareasonError(f"entry {self.name!r}: empty deployed model")
         if self.n_intervals < 0:
@@ -195,7 +199,10 @@ class CostModel:
 
 def estimate_cost(entry: SuiteEntry, cost_model: CostModel) -> float:
     """Deliberation time for the entry under the cost model."""
-    return cost_model.alpha * entry.space_size + cost_model.beta
+    try:
+        return cost_model.alpha * entry.space_size + cost_model.beta
+    except OverflowError:  # a space size past the float range, even at α = 0
+        raise _bad_cost(entry.name) from None
 
 
 def with_cost(entry: SuiteEntry, cost_model: CostModel) -> SuiteEntry:
@@ -260,17 +267,20 @@ def solve_entry(entry: SuiteEntry) -> tuple[SuiteEntry, Policy]:
     return replace(entry, quality=policy.meu), policy
 
 
-def _sweep(suite, times):
-    """Yield ``(t, entry)`` for the ascending ``times``, the entry attaining
-    Q(t).  Walking the suite in stable cost order, a newly affordable entry
-    replaces the best only with strictly higher quality: ties go to the
-    cheaper entry, then to suite order."""
+def _sweep(suite, t):
+    """Yield ``(t, entry)``, then ``(c, entry)`` for each distinct cost time
+    c above t, ascending: the entry attaining Q at that time.  Walking the
+    suite in stable cost order, a newly affordable entry replaces the best
+    only with strictly higher quality: ties go to the cheaper entry, then
+    to suite order.  Of equal cost times (``-0.0`` and ``0.0``), the
+    first in suite order is yielded."""
     if not suite:
         raise MetareasonError("empty model suite")
-    order = sorted(suite, key=lambda e: e.cost_time)
+    order = sorted(suite, key=attrgetter("cost_time"))
+    n = len(order)
     best, k = None, 0
-    for t in times:
-        while k < len(order) and order[k].cost_time <= t:
+    while True:
+        while k < n and order[k].cost_time <= t:
             e, k = order[k], k + 1
             if e.quality is None:  # name the first unsolved entry in suite order
                 e = next(x for x in suite if x.quality is None and x.cost_time <= t)
@@ -283,6 +293,9 @@ def _sweep(suite, times):
                 "should include a zero-cost baseline (default action)"
             )
         yield t, best
+        if k == n:
+            return
+        t = order[k].cost_time
 
 
 def quality(suite, t: float) -> tuple[float, SuiteEntry]:
@@ -290,7 +303,7 @@ def quality(suite, t: float) -> tuple[float, SuiteEntry]:
 
     Ties break toward the cheaper entry, then suite order.
     """
-    _, best = next(_sweep(suite, (t,)))
+    _, best = next(_sweep(suite, t))
     return best.quality, best
 
 
@@ -303,8 +316,7 @@ def evc(suite, urgency: UrgencyFunction, t0: float, t: float) -> float:
     return (q_t - q_t0) - (urgency(t) - urgency(t0))
 
 
-@dataclass(frozen=True)
-class EvcPoint:
+class EvcPoint(NamedTuple):
     t: float
     q: float
     uc: float  # comprehensive value Q(t) − urgency(t)
@@ -326,14 +338,15 @@ def select(suite, urgency: UrgencyFunction, t0: float | None = None) -> EvcCurve
     (whose EVC is identically 0, so deliberation never extends at a
     loss).  Ties break toward the smaller time: act sooner.  A t0 of
     None means "the fastest model available": its cheapest cost time.
-    One sorted sweep gives Q at every candidate; curve values must be finite.
+    One sweep over the suite, sorted once by cost, yields every candidate
+    and Q there; curve values must be finite, checked once the whole sweep
+    has run, so its own errors come first.
     """
     if t0 is None:
         t0 = min((e.cost_time for e in suite), default=0.0)
-    candidates = sorted({float(t0)} | {e.cost_time for e in suite if e.cost_time >= t0})
     points = []
     best_point, best_entry = None, None
-    for t, entry in _sweep(suite, candidates):
+    for t, entry in _sweep(suite, float(t0)):
         if not points:
             q_t0, u_t0 = entry.quality, urgency(t0)
         q, u_t = entry.quality, urgency(t)
@@ -372,20 +385,27 @@ def load_kb(path) -> list[SuiteEntry]:
     Both files of every entry are read on every call.  An entry whose two
     files hold the same bytes as at its last successful load is returned
     as that load built it (see ``_records``); any other entry is read
-    afresh.
+    afresh.  The directory is opened once, and every file is opened
+    relative to that descriptor.
     """
     path = pathlib.Path(path)
     if not path.is_dir():
         raise FileNotFoundError(f"knowledge base {str(path)!r} is not a directory")
     root = str(path)
-    names = sorted(n for n in os.listdir(root) if n.endswith(".entry"))
-    for n in names:  # an entry's name goes into reports, which are UTF-8
-        try:
-            n.encode("utf-8")
-        except UnicodeEncodeError:
-            raise MetareasonError(f"manifest name {n!r} is not valid UTF-8") from None
-    prefix = os.path.join(root, "")  # a listed name holds no separator
-    entries = [_load_entry(prefix + n) for n in names]
+    dir_fd = os.open(root, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        names = sorted(n for n in os.listdir(dir_fd) if n.endswith(".entry"))
+        for n in names:  # an entry's name goes into reports, which are UTF-8
+            try:
+                n.encode("utf-8")
+            except UnicodeEncodeError:
+                raise MetareasonError(
+                    f"manifest name {n!r} is not valid UTF-8"
+                ) from None
+        prefix = os.path.join(root, "")  # a listed name holds no separator
+        entries = [_load_entry(dir_fd, prefix, n) for n in names]
+    finally:
+        os.close(dir_fd)
     if not entries:
         raise MetareasonError(f"knowledge base {str(path)!r} has no entries")
     return entries
@@ -398,6 +418,7 @@ class _Record:
 
     manifest: bytes
     model_path: str
+    model_file: str
     model: bytes
     entry: SuiteEntry
 
@@ -408,20 +429,24 @@ class _Record:
 _records: dict[str, _Record] = {}
 
 
-def _load_entry(manifest: str) -> SuiteEntry:
-    data = _read(manifest)
+def _load_entry(dir_fd: int, prefix: str, name: str) -> SuiteEntry:
+    """The entry of manifest ``name`` in the directory open as ``dir_fd``,
+    whose path is ``prefix`` (ending in a separator)."""
+    manifest = prefix + name
+    data = _read(manifest, dir_fd=dir_fd, name=name)
     record = _records.get(manifest)
     if record is not None and record.manifest == data:
         try:
-            if _read(record.model_path) == record.model:
+            model = _read(record.model_path, dir_fd=dir_fd, name=record.model_file)
+            if model == record.model:
                 return record.entry
         except OSError:
             pass  # read again, and reported, below
-    record = _records[manifest] = _read_entry(pathlib.Path(manifest), data)
+    record = _records[manifest] = _read_entry(pathlib.Path(manifest), data, dir_fd)
     return record.entry
 
 
-def _read_entry(manifest: pathlib.Path, data: bytes) -> _Record:
+def _read_entry(manifest: pathlib.Path, data: bytes, dir_fd: int) -> _Record:
     try:
         text = _decode(data)
     except ModelFormatError as err:
@@ -450,7 +475,7 @@ def _read_entry(manifest: pathlib.Path, data: bytes) -> _Record:
         )
     model_path = os.path.join(str(manifest.parent), model_file)
     try:
-        model_bytes = _read(model_path)
+        model_bytes = _read(model_path, dir_fd=dir_fd, name=model_file)
     except OSError as err:
         raise MetareasonError(f"{manifest.name}: cannot read model: {err}") from err
     try:
@@ -479,7 +504,7 @@ def _read_entry(manifest: pathlib.Path, data: bytes) -> _Record:
         quality=None if fields["quality"] == "unsolved" else number("quality", float),
         tags=tuple(fields.get("tags", "").split()),
     )
-    return _Record(data, model_path, model_bytes, entry)
+    return _Record(data, model_path, model_file, model_bytes, entry)
 
 
 def write_entry(kb_dir, entry: SuiteEntry) -> pathlib.Path:

@@ -688,25 +688,35 @@ _READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0) | getattr(os, "O_NONBLOCK
 _READ_CAP = 64 << 20  # bytes per file
 
 
-def _read(path: str, flags: int = _READ_FLAGS) -> bytes:
+def _read(
+    path: str, flags: int = _READ_FLAGS, dir_fd: int | None = None, name: str = ""
+) -> bytes:
     """The whole file, at most ``_READ_CAP`` bytes, through raw descriptor
     calls opened with ``flags``: ``open()`` would build a file object and
-    a buffer for every file of every knowledge-base load."""
-    fd = os.open(path, flags)
+    a buffer for every file of every knowledge-base load.  Given a
+    directory descriptor, ``name`` is opened under it, so the directory's
+    path is not resolved again; ``path`` still names the file in errors."""
     try:
-        chunks = []
-        size = 0
-        while chunk := os.read(fd, 1 << 16):
-            size += len(chunk)
+        fd = os.open(name if dir_fd is not None else path, flags, dir_fd=dir_fd)
+    except OSError as err:
+        raise OSError(err.errno, err.strerror, path) from None
+    try:
+        data = os.read(fd, 1 << 16)
+        if data and (chunk := os.read(fd, 1 << 16)):  # past one read: gather
+            chunks = [data, chunk]
+            size = len(data) + len(chunk)
+            while size <= _READ_CAP and (chunk := os.read(fd, 1 << 16)):
+                chunks.append(chunk)
+                size += len(chunk)
             if size > _READ_CAP:
                 raise OSError(errno.EFBIG, os.strerror(errno.EFBIG))
-            chunks.append(chunk)
+            data = b"".join(chunks)
     except OSError as err:
         # os.read names no file (a directory fails here, not at os.open).
         raise OSError(err.errno, err.strerror, path) from None
     finally:
         os.close(fd)
-    return b"".join(chunks)
+    return data
 
 
 def _decode(text: str | bytes) -> str:

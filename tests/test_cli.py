@@ -362,6 +362,16 @@ def test_select_missing_kb(capsys, tmp_path):
     assert code == 2
 
 
+def test_select_names_a_dangling_manifest_by_its_relative_path(capsys, kb, monkeypatch):
+    # Each file is opened under the directory's descriptor; the error still
+    # names it by the path given on the command line.
+    (kb / "d.entry").symlink_to("absent.entry")
+    monkeypatch.chdir(kb.parent)
+    code, out, err = run(capsys, "select", "kb", "--urgency", "linear:1")
+    assert (code, out) == (2, "")
+    assert err == "error: [Errno 2] No such file or directory: 'kb/d.entry'\n"
+
+
 def test_select_infeasible_deadline(capsys, kb):
     code, _, err = run(
         capsys, "select", kb, "--urgency", "linear:1", "--deadline", "0.1"

@@ -16,6 +16,7 @@ from tdid.metareason import (
     ConstructResult,
     CostModel,
     EvcCurve,
+    EvcPoint,
     MetareasonError,
     Problem,
     SuiteEntry,
@@ -152,6 +153,18 @@ def test_with_cost_and_validation():
     for cost in (-2.0, math.nan, math.inf):
         with pytest.raises(MetareasonError):
             entry("m", 1.0, cost)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.1])
+def test_cost_of_a_space_past_the_float_range_is_refused(alpha):
+    # A manifest's space may be an int of any length; 400 digits do not
+    # convert to a float, whatever α multiplies them.
+    e = dataclasses.replace(entry("a", 1.0, 0.0), space_size=int("9" * 400))
+    message = "entry 'a': cost must be finite and nonnegative"
+    with pytest.raises(MetareasonError, match=message):
+        estimate_cost(e, CostModel(alpha=alpha, beta=1.0))
+    with pytest.raises(MetareasonError, match=message):
+        with_cost(e, CostModel(alpha=alpha, beta=1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -539,9 +552,9 @@ def test_kb_load_reads_both_files_of_every_entry(tmp_path, fixtures_dir, monkeyp
     kb = build_kb(tmp_path, fixtures_dir)
     reads, read = [], metareason._read
 
-    def counting_read(path):
+    def counting_read(path, *args, **kwargs):
         reads.append(path)
-        return read(path)
+        return read(path, *args, **kwargs)
 
     monkeypatch.setattr(metareason, "_read", counting_read)
     want = sorted(
@@ -573,6 +586,41 @@ def test_kb_loads_leave_no_descriptor_open(tmp_path, fixtures_dir):
         for path in broken:
             with pytest.raises(MetareasonError, match="full.entry: "):
                 load_kb(path)
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
+def _empty_kb(kb):
+    for path in kb.iterdir():
+        path.unlink()
+    return MetareasonError, "has no entries"
+
+
+def _dangling_manifest(kb):
+    (kb / "d.entry").symlink_to("absent.entry")
+    return FileNotFoundError, "No such file or directory"
+
+
+def _manifest_name_not_utf8(kb):
+    try:
+        (kb / "full.entry").rename(kb / os.fsdecode(b"\xff.entry"))
+    except (OSError, UnicodeEncodeError):
+        pytest.skip("the filesystem refuses a file name that is not UTF-8")
+    return MetareasonError, "is not valid UTF-8"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+@pytest.mark.parametrize(
+    "breakage", [_empty_kb, _dangling_manifest, _manifest_name_not_utf8]
+)
+def test_failed_kb_loads_close_the_directory(tmp_path, fixtures_dir, breakage):
+    # load_kb holds the knowledge base's directory open while it reads;
+    # every way the load fails must close it.
+    kb = build_kb(tmp_path, fixtures_dir)
+    error, message = breakage(kb)
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(5):
+        with pytest.raises(error, match=message):
+            load_kb(kb)
     assert len(os.listdir("/proc/self/fd")) == before
 
 
@@ -819,6 +867,37 @@ def test_select_sweep_matches_reference_on_tie_heavy_suites():
             for t, q, _, _ in points:
                 assert quality(s, t) == (q, reference_quality(s, t)[1])
     assert infeasible
+
+
+@pytest.mark.parametrize("t0", [None, 0.0])
+def test_select_reports_a_later_unsolved_entry_before_a_non_finite_point(t0):
+    # Q jumps from -1.7e308 to 1.7e308 at t=1, so EVC overflows there, but
+    # the unsolved entry at t=2 is the error: the whole sweep runs first.
+    s = [entry("x", -1.7e308, 0.0), entry("y", 1.7e308, 1.0), entry("z", None, 2.0)]
+    with pytest.raises(MetareasonError, match="entry 'z' is unsolved"):
+        select(s, UrgencyFunction.linear(0.0), t0)
+
+
+def test_select_keeps_signed_zeros_as_the_reference_does():
+    # ``==`` holds -0.0 and 0.0 equal, so compare every time by its repr.
+    rng = np.random.default_rng(20261019)
+    for _ in range(2000):
+        n = int(rng.integers(1, 7))
+        costs = [float(rng.choice([-0.0, 0.0]))]
+        costs += [float(c) for c in rng.choice([-0.0, 0.0, 0.0, 1.0, 2.0], size=n - 1)]
+        quals = rng.choice([1.0, 2.0, 3.0], size=n)
+        s = [entry(f"m{i}", q, c) for i, (q, c) in enumerate(zip(quals, costs))]
+        t0 = [None, 0.0, -0.0][int(rng.integers(3))]
+        u = UrgencyFunction.linear(float(rng.choice([0.0, 0.5])))
+        curve = select(s, u, t0)
+        points, t_star, best = reference_select(s, u, t0)
+        ref_t0 = float(min(e.cost_time for e in s) if t0 is None else t0)
+        want = EvcCurve(ref_t0, tuple(EvcPoint(*p) for p in points), t_star, best)
+        assert [repr(p) for p in curve.points] == [repr(p) for p in want.points]
+        assert repr(curve.t0) == repr(want.t0)
+        assert repr(curve.t_star) == repr(want.t_star)
+        assert curve.best is best
+        assert selection_report(curve) == selection_report(want)
 
 
 def test_select_names_first_unsolved_entry_in_suite_order():

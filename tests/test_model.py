@@ -1,5 +1,7 @@
 """Condensed model: validation, parsing, canonical serialization."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -21,6 +23,7 @@ from tdid.model import (
     parent_signature,
     parse,
     serialize,
+    _read,
     validate,
 )
 
@@ -515,3 +518,17 @@ def test_stationary_table_misfit_is_reported_at_every_index_it_covers():
     assert validate(m) == [
         "cpd X @ *: parents X/lag do not match (none) required at index 1",
     ]
+
+
+@pytest.mark.parametrize("size", [0, 1, 1 << 16, (1 << 16) + 1, 3 * (1 << 16) + 5])
+def test_read_returns_files_of_any_length_whole(tmp_path, size):
+    # Around the 64 KiB read size: one read, exactly one, and several.
+    data = bytes(k % 251 for k in range(size))
+    path = tmp_path / "f"
+    path.write_bytes(data)
+    assert _read(str(path)) == data
+    fd = os.open(tmp_path, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        assert _read("shown in errors", dir_fd=fd, name="f") == data
+    finally:
+        os.close(fd)
