@@ -13,7 +13,9 @@ entries keyed on different decision histories cover disjoint worlds, and
     MEU = max_{rule 1} sum_{a1} max_{rule 2 | a1} sum_{a2} ...
 
 is exact, signaling included.  ``solve`` searches that expression in one
-forward pass over a static plan (``_Plan``): the frontier is the joint of
+forward pass over a static plan (``_Plan``), whose skeleton depends on the
+diagram's structure alone and is built once per structure (``_skeletons``),
+with the diagram's tables bound to it per call.  The frontier is the joint of
 the chance variables some later step reads; at a decision the search
 enumerates rules over the observed states with nonzero mass and branches
 on each option a rule uses, with the decision fixed.  Branches that share
@@ -67,7 +69,7 @@ ORACLE_CAP = 10**6
 # The solver refuses, before allocating, a diagram whose largest batch of
 # frontiers (the cells one step's einsum loops over) or whose bound on
 # search branches exceeds these.  Cardiac at T=8 needs 69,984 cells (2,187
-# frontiers of 32) and 335,922 branches, about 2 s on a 2-vCPU VM; its
+# frontiers of 32) and 335,922 branches, about 0.9 s on a 2-vCPU VM; its
 # 2,015,538 branches at T=9 are refused.  ``brute_force`` refuses a dense
 # joint of more than FRONTIER_CAP cells too.
 FRONTIER_CAP = 2**22
@@ -240,26 +242,41 @@ def _subscripts(*scopes, out=()) -> str:
 
 
 class _Table:
-    """A CPT or utility table with its decision axes first, so that fixing
-    the decisions of a history is one basic index."""
+    """Where a CPT or utility table sits in a plan: its scope, and the
+    decision axes it moves first, so that fixing the decisions of a
+    history is one basic index.  The array is bound per diagram, from
+    position ``source`` of ``did.utilities`` (``utility``) or of
+    ``did.tables``, into the plan's ``arrays[slot]``."""
 
-    __slots__ = ("array", "picks", "scope", "_pick")
+    __slots__ = (
+        "slot", "source", "utility", "shape", "axes", "picks", "scope", "_pick",
+    )
 
-    def __init__(self, flat, parents, node, dpos, domains):
+    def __init__(self, slot, source, parents, node, dpos, domains):
+        self.slot = slot
+        self.source = source
+        self.utility = node is None
         axes = tuple(parents) + ((node,) if node is not None else ())
-        array = np.array(flat, float).reshape([domains[v] for v in axes])
+        self.shape = [domains[v] for v in axes]
         front = [i for i, p in enumerate(parents) if p in dpos]
         self.picks = tuple(dpos[parents[i]] for i in front)
         self._pick = operator.itemgetter(*self.picks) if front else None
+        self.axes = None
         if front:
             back = [i for i in range(len(axes)) if i not in front]
-            array = np.ascontiguousarray(array.transpose(front + back))
+            self.axes = front + back
             axes = tuple(axes[i] for i in back)
-        self.array = array
         self.scope = axes
 
-    def at(self, hist) -> np.ndarray:
-        return self.array[self._pick(hist)] if self._pick else self.array
+    def bind(self, flat) -> np.ndarray:
+        array = np.array(flat, float).reshape(self.shape)
+        if self.axes:
+            array = np.ascontiguousarray(array.transpose(self.axes))
+        return array
+
+    def at(self, arrays, hist) -> np.ndarray:
+        array = arrays[self.slot]
+        return array[self._pick(hist)] if self._pick else array
 
 
 class _ChanceStep:
@@ -276,8 +293,23 @@ class _DecisionStep:
     decision = True
 
 
-class _Plan:
-    """The static schedule of the forward pass for one diagram.
+def _refuse_search(bound: int) -> None:
+    if bound > SEARCH_CAP:
+        raise SolveCapError(
+            f"the search bound reaches {bound} branches, above the cap of {SEARCH_CAP}"
+        )
+
+
+def _refuse_frontier(cells: int) -> None:
+    if cells > FRONTIER_CAP:
+        raise SolveCapError(
+            f"solving holds {cells} frontier cells at once, above the cap of "
+            f"{FRONTIER_CAP}"
+        )
+
+
+class _Skeleton:
+    """The static schedule of the forward pass for one diagram structure.
 
     Chance and copy nodes that some value node or decision reads (directly
     or through descendants) are placed as soon as their parents are, and
@@ -290,11 +322,13 @@ class _Plan:
     Every frontier operand has a leading axis over the batch of branches
     that share the decision history (``_ROW``).
 
-    The constructor refuses, before allocating any table, a plan whose
-    largest frontier or whose bound on search branches exceeds the caps.
+    Everything here follows from the diagram's structure: no table's
+    numbers are read, and none is kept (``_Plan`` binds them).  The
+    constructor refuses a plan whose largest frontier or whose bound on
+    search branches exceeds the caps.
     """
 
-    def __init__(self, did: DeployedDid, evaluating: bool = False):
+    def __init__(self, did: DeployedDid, evaluating: bool):
         schedule = _schedule(did)
         order = did.decision_order
         info = did.info_by_decision
@@ -307,11 +341,7 @@ class _Plan:
             for d in order
         }
         self.search_bound = _search_bound([shapes[d] for d in order], evaluating)
-        if self.search_bound > SEARCH_CAP:
-            raise SolveCapError(
-                f"the search bound reaches {self.search_bound} branches, above "
-                f"the cap of {SEARCH_CAP}"
-            )
+        _refuse_search(self.search_bound)
         tables = did.table_by_node
         reads = [p for u in did.utilities for p in u.parents]
         reads += [o for d in order for o in info[d]]
@@ -324,13 +354,13 @@ class _Plan:
                 did.node(n)  # a table of no node: ModelError, as in brute_force
         pos = {n: s for s, n in enumerate(sequence)}
 
-        # The step each value node is scored at, and the last step reading
-        # each chance variable.
+        # The step each value node (by position) is scored at, and the last
+        # step reading each chance variable.
         scored: dict[int, list] = {}
         last = {n: s for n, s in pos.items() if n not in dpos}
-        for u in did.utilities:
+        for k, u in enumerate(did.utilities):
             s = max((pos[p] for p in u.parents), default=-1)
-            scored.setdefault(s, []).append(u)
+            scored.setdefault(s, []).append(k)
             for p in u.parents:
                 if p in last:
                     last[p] = max(last[p], s)
@@ -368,16 +398,14 @@ class _Plan:
             scope = tuple(v for v in joint if last[v] > s)
         scopes.append(())  # after the end
         self.frontier_cells = max(cells, default=1)
-        if self.frontier_cells > FRONTIER_CAP:
-            raise SolveCapError(
-                f"solving holds {self.frontier_cells} frontier cells at once, "
-                f"above the cap of {FRONTIER_CAP}"
-            )
+        _refuse_frontier(self.frontier_cells)
 
         # From the last decision on, the tail (``_plan_to_go``) reads the
         # tables alone, so those steps get no forward einsum spec.
         self.last = pos[order[-1]] if order else len(sequence)
-        self.const = sum(float(u.values[0]) for u in scored.get(-1, ()))
+        self.constant = scored.get(-1, [])  # utilities of no parent
+        source = {t.node: k for k, t in enumerate(did.tables)}  # as table_by_node
+        self.tables: list[_Table] = []  # in slot order
         self.steps: list = []
         for s, n in enumerate(sequence):
             f = _ROW + scopes[s]
@@ -387,20 +415,25 @@ class _Plan:
             else:
                 step = _ChanceStep()
                 step.node = n
-                t = tables[n]
-                step.table = _Table(t.rows, t.parents, n, dpos, domains)
+                step.table = self._table(source[n], tables[n].parents, n, dpos, domains)
                 ins = (f, step.table.scope)
                 if s < self.last:
                     step.spec = _subscripts(*ins, out=_ROW + scopes[s + 1])
             step.values = []
-            for u in scored.get(s, ()):
-                t = _Table(u.values, u.parents, None, dpos, domains)
+            for k in scored.get(s, ()):
+                t = self._table(k, did.utilities[k].parents, None, dpos, domains)
                 spec = _subscripts(*ins, t.scope, out=_ROW) if s < self.last else None
                 step.values.append((t, spec))
             self.steps.append(step)
-        self.to_go: dict = {}
+        self.tail: list = []
+        self.to_go_reads: tuple = ()
         if order:
             self._plan_to_go()
+
+    def _table(self, source, parents, node, dpos, domains) -> _Table:
+        t = _Table(len(self.tables), source, parents, node, dpos, domains)
+        self.tables.append(t)
+        return t
 
     @staticmethod
     def _decision(did, d, dpos, domains, scope) -> _DecisionStep:
@@ -458,6 +491,53 @@ class _Plan:
             out=_ROW + (decision.node,) + decision.observed,
         )
 
+
+# Plan skeletons by structure (the key ``_Plan`` builds), oldest first and at
+# most _SKELETON_CAP of them.  A skeleton holds no table of any diagram; the
+# candidates its decision steps keep depend on the live states alone, so
+# every diagram of the structure shares them.
+_SKELETON_CAP = 16
+_skeletons: dict[tuple, _Skeleton] = {}
+
+
+class _Plan:
+    """The forward pass for one diagram: its structure's skeleton, shared
+    through ``_skeletons``, with this diagram's tables bound to it.  The
+    caps are compared on every call, so a structure stored under one cap
+    is refused under a lower one."""
+
+    def __init__(self, did: DeployedDid, evaluating: bool = False):
+        key = (
+            evaluating,
+            did.slices,
+            did.nodes,
+            tuple((t.node, t.parents) for t in did.tables),
+            tuple((u.node, u.parents) for u in did.utilities),
+            did.decisions,
+        )
+        skeleton = _skeletons.get(key)
+        if skeleton is None:
+            skeleton = _Skeleton(did, evaluating)
+            if len(_skeletons) >= _SKELETON_CAP:
+                del _skeletons[next(iter(_skeletons))]
+            _skeletons[key] = skeleton
+        self.search_bound = skeleton.search_bound
+        self.frontier_cells = skeleton.frontier_cells
+        _refuse_search(self.search_bound)
+        _refuse_frontier(self.frontier_cells)
+        self.steps = skeleton.steps
+        self.last = skeleton.last
+        utilities = did.utilities
+        self.const = sum(float(utilities[k].values[0]) for k in skeleton.constant)
+        tables = did.tables
+        self.arrays = [
+            t.bind(utilities[t.source].values if t.utility else tables[t.source].rows)
+            for t in skeleton.tables
+        ]
+        self.tail = skeleton.tail
+        self.to_go_reads = skeleton.to_go_reads
+        self.to_go: dict = {}
+
     # -- the pass --------------------------------------------------------
 
     def run(self, rules=None) -> tuple[float, list]:
@@ -488,9 +568,9 @@ class _Plan:
             if step.decision:
                 v, trees = self._decide(s, step, f, hist, rules)
                 return eu + v, trees
-            table = step.table.at(hist)
+            table = step.table.at(self.arrays, hist)
             for u, spec in step.values:
-                eu += np.einsum(spec, f, table, u.at(hist))
+                eu += np.einsum(spec, f, table, u.at(self.arrays, hist))
             f = np.einsum(step.spec, f, table)
             s += 1
         if s == len(steps):
@@ -587,7 +667,7 @@ class _Plan:
         f = np.einsum(step.restrict, f[[z for z, _ in items]], mask)
         eu = np.zeros(len(items))
         for u, spec in step.values:
-            eu += np.einsum(spec, f, u.at(hist))
+            eu += np.einsum(spec, f, u.at(self.arrays, hist))
         rest, trees = self._forward(s + 1, f, hist, rules)
         return eu + rest, trees
 
@@ -618,10 +698,10 @@ class _Plan:
                 h = hist + (a,)
                 g = np.zeros(())
                 for step, aligned, spec in self.tail:
-                    parts = [g] + [u.at(h) for u, _ in step.values]
+                    parts = [g] + [u.at(self.arrays, h) for u, _ in step.values]
                     g = sum(p.transpose(o)[i] for p, (o, i) in zip(parts, aligned))
                     if spec is not None:
-                        g = np.einsum(spec, step.table.at(h), g)
+                        g = np.einsum(spec, step.table.at(self.arrays, h), g)
                 per_option.append(g)
             stacked = self.to_go[key] = np.stack(per_option)
         return stacked
@@ -650,9 +730,11 @@ def _search_bound(decisions, evaluating: bool) -> int:
 
 
 # The diagram ``solve`` last planned, and its plan: ``evaluate_policy`` on
-# that same object runs the policy through it.  Matched by identity, so no
-# diagram is hashed and at most one plan is held; replaced as one tuple, so
-# a reader never pairs a diagram with another's plan.  A solving plan is
+# that same object runs the policy through it, tables and warm
+# utility-to-go included, where any other diagram binds its own tables to a
+# skeleton.  Matched by identity, so no diagram is hashed and at most one
+# bound plan is held; replaced as one tuple, so a reader never pairs a
+# diagram with another's plan.  A solving plan is
 # admissible for evaluation (evaluating never bounds more branches or
 # frontier rows), its utility-to-go cache is keyed by decision values,
 # not by rules, and evaluating never reads the candidates it keeps, so
@@ -753,10 +835,13 @@ def _check_policy(did: DeployedDid, policy: Policy) -> None:
 def evaluate_policy(did: DeployedDid, policy: Policy) -> float:
     """Expected total utility of following the fixed policy."""
     _check_policy(did, policy)
+    choices: dict = {}
+    for r in policy.rules:  # the first rule per decision, as ``Policy.rule``
+        choices.setdefault(r.node, r.choices)
     planned, plan = _last_plan
     if planned is not did:
         plan = _Plan(did, evaluating=True)
-    return plan.run(tuple(policy.rule(d).choices for d in did.decision_order))[0]
+    return plan.run(tuple(choices[d] for d in did.decision_order))[0]
 
 
 def brute_force(did: DeployedDid) -> Policy:

@@ -778,3 +778,175 @@ def test_policies_agree_after_solve_builds_no_further_plan(plans):
     p = solve(did)
     assert policies_agree(did, p, dataclasses.replace(p))
     assert plans == [False]
+
+
+# --- plan skeletons, shared by every diagram of one structure ---------------
+
+
+@pytest.fixture
+def skeletons():
+    """The module's skeleton memo, cleared before and after the test."""
+    import tdid.solve
+
+    tdid.solve._skeletons.clear()
+    yield tdid.solve._skeletons
+    tdid.solve._skeletons.clear()
+
+
+def _row(rng, n):
+    p = rng.dirichlet(np.ones(n))
+    if n > 1 and rng.random() < 0.3:  # a zero, so live states vary
+        p[rng.integers(n)] = 0.0
+        p /= p.sum()
+    return tuple(p.tolist())
+
+
+def _redraw(did, rng):
+    """The diagram with every CPT row and utility value drawn afresh:
+    integer utilities, so that ties are common."""
+    return dataclasses.replace(
+        did,
+        tables=tuple(
+            t._replace(rows=tuple(_row(rng, len(r)) for r in t.rows))
+            for t in did.tables
+        ),
+        utilities=tuple(
+            u._replace(values=tuple(rng.integers(-9, 10, len(u.values)) * 1.0))
+            for u in did.utilities
+        ),
+    )
+
+
+def _multi_state():
+    """The multi-state decision corpus of the oracle test above."""
+    return corpus(200, seed=5, max_policies=4096, states=(2, 4), with_decision=True)
+
+
+def _redrawn_structures():
+    """Per structure, redraws of its numbers: 16 of cardiac at T=1..5, and
+    two of each diagram of the multi-state corpus."""
+    rng = np.random.default_rng(53)
+    for horizon in range(1, 6):
+        did = deploy(cardiac(horizon))
+        yield [_redraw(did, rng) for _ in range(16)]
+    for _, did in _multi_state():
+        yield [did, _redraw(did, rng)]
+
+
+def _random_policy(did, rng):
+    """Options drawn uniformly at every entry."""
+    rules = []
+    for r in _option_zero(did).rules:
+        k = len(did.states(r.node))
+        choices = tuple(rng.integers(0, k, len(r.choices)).tolist())
+        rules.append(dataclasses.replace(r, choices=choices))
+    return Policy(tuple(rules), 0.0)
+
+
+def _solved(did):
+    p = solve(did)
+    return repr(p.meu), policy_json(did, p)
+
+
+def test_redraws_solve_alike_on_a_warm_and_a_cleared_memo(skeletons):
+    for redraws in _redrawn_structures():
+        cold = []
+        for did in redraws:
+            skeletons.clear()
+            cold.append(_solved(did))
+        # Warm, in either order: what the first redraw leaves on the
+        # shared skeleton must not change what the next one solves to.
+        assert [_solved(did) for did in redraws] == cold
+        assert [_solved(did) for did in redraws[::-1]] == cold[::-1]
+
+
+def test_evaluation_on_a_warm_memo_is_bitwise_that_of_a_cleared_one(skeletons):
+    rng = np.random.default_rng(59)
+    for redraws in _redrawn_structures():
+        for did in redraws[:4]:
+            policy = _random_policy(did, rng)
+            solve(did)  # a solving skeleton, and one evaluating below
+            warm = [evaluate_policy(dataclasses.replace(did), policy) for _ in range(2)]
+            skeletons.clear()
+            assert warm == [evaluate_policy(dataclasses.replace(did), policy)] * 2
+
+
+def test_the_memo_never_holds_more_than_its_cap(skeletons):
+    import tdid.solve
+
+    cap = tdid.solve._SKELETON_CAP
+    sizes = []
+    for _, did in corpus(3 * cap, seed=7):
+        solve(did)
+        sizes.append(len(skeletons))
+    assert max(sizes) == cap == sizes[-1]
+
+
+def test_a_refused_structure_is_refused_again_and_never_stored(skeletons):
+    did = deploy(cardiac(9))
+    messages = []
+    for _ in range(2):
+        with pytest.raises(SolveCapError) as raised:
+            solve(did)
+        messages.append(str(raised.value))
+    message = "the search bound reaches 2015538 branches, above the cap of 1000000"
+    assert messages == [message] * 2
+    assert skeletons == {}
+
+
+@pytest.mark.parametrize(
+    "cap, figure", [("SEARCH_CAP", "search_bound"), ("FRONTIER_CAP", "frontier_cells")]
+)
+def test_a_lower_cap_refuses_a_structure_already_stored(
+    skeletons, monkeypatch, cap, figure
+):
+    did = deploy(cardiac(3))
+    p = solve(did)
+    assert len(skeletons) == 1
+    n = getattr(_Plan(did), figure)
+    monkeypatch.setattr(f"tdid.solve.{cap}", n - 1)
+    with pytest.raises(SolveCapError, match=f" {n} .*above the cap of {n - 1}$"):
+        solve(dataclasses.replace(did))
+    monkeypatch.undo()
+    assert solve(dataclasses.replace(did)) == p
+    assert len(skeletons) == 1
+
+
+# --- a local-optimality certificate ------------------------------------------
+
+
+def _certificate(did, policy):
+    """The policy's value on a fresh evaluating plan, and the most that
+    changing any one rule entry to another option adds to it."""
+    plan = _Plan(did, evaluating=True)
+    rules = [list(r.choices) for r in policy.rules]
+    value = plan.run(tuple(map(tuple, rules)))[0]
+    gain = -math.inf
+    for r, rule in zip(policy.rules, rules):
+        for e, c in enumerate(r.choices):
+            for a in range(len(did.states(r.node))):
+                if a != c:
+                    rule[e] = a
+                    gain = max(gain, plan.run(tuple(map(tuple, rules)))[0] - value)
+            rule[e] = c
+    return value, gain
+
+
+def _certified(did):
+    p = solve(did)
+    value, gain = _certificate(did, p)
+    tol = 1e-9 * max(1.0, abs(value))
+    return abs(value - p.meu) <= tol and gain <= tol
+
+
+@pytest.mark.parametrize("horizon", [4, 5, 6])
+def test_solved_cardiac_policies_are_locally_optimal_past_the_oracle(horizon):
+    # brute_force reaches cardiac only to T=3; past it, a solver that
+    # picked a wrong rule at a searched decision would still claim the
+    # value of what it picked, but one entry changed would beat it.
+    assert _certified(deploy(cardiac(horizon)))
+
+
+def test_solved_multi_state_policies_are_locally_optimal():
+    for m, did in _multi_state():
+        assert _certified(did), serialize(m)
