@@ -6,6 +6,8 @@ that identical inputs always produce byte-identical outputs.
 
 from __future__ import annotations
 
+import re
+
 
 def fmt_float(x: float) -> str:
     """Format a float with 17 significant digits (round-trips exactly)."""
@@ -66,15 +68,14 @@ def _write(value, out: list[str]) -> None:
 
 _ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
 
+# Any character that ``_quote`` does not copy as it is.
+_SPECIAL = re.compile(r'["\\\x00-\x1f]')
+
+
+def _escape(m: re.Match) -> str:
+    ch = m.group()
+    return _ESCAPES.get(ch) or "\\u%04x" % ord(ch)
+
 
 def _quote(s: str) -> str:
-    parts = ['"']
-    for ch in s:
-        if ch in _ESCAPES:
-            parts.append(_ESCAPES[ch])
-        elif ord(ch) < 0x20:
-            parts.append("\\u%04x" % ord(ch))
-        else:
-            parts.append(ch)
-    parts.append('"')
-    return "".join(parts)
+    return '"' + _SPECIAL.sub(_escape, s) + '"'

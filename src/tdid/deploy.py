@@ -13,10 +13,21 @@ indexed.
 The result carries an implicit super value node: total utility is the sum
 over all value nodes.  Decision nodes observe their informational parents
 plus every earlier decision; only the informational parents are stored.
+
+Each model structure is validated once: the master sequence, the
+variables, the arcs, each table's class, variable, index and parents, the
+tick and the ``barren`` flag, but not the table numbers.  Its plan
+(``_Plan``) holds each table's row and column counts and, with barren
+removal, the positions of the nodes it keeps; at most 16 plans are kept,
+the oldest evicted first.  A structure is planned only after ``validate``
+passes it.  A model whose structure is planned still has its indices and
+every table number checked on each call, and a fault is reported with the
+message ``validate`` gives.  ``validate`` itself still checks everything.
 """
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
@@ -26,6 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._memo import remember
 from .model import (
     CHANCE,
     DECISION,
@@ -34,6 +46,8 @@ from .model import (
     CondensedTdid,
     ModelError,
     _ancestors,
+    _check_sequence,
+    _number_faults,
     parent_signature,
     validate,
 )
@@ -178,11 +192,89 @@ def deploy(model: CondensedTdid, *, barren: bool = True) -> DeployedDid:
     With ``barren=True`` (the default), nodes that cannot influence any
     value node are removed before returning; this never changes the
     maximum expected utility.
-    """
-    problems = validate(model)
-    if problems:
-        raise ModelError("invalid model: " + "; ".join(problems))
 
+    A structure is validated and planned once (``_plans``): a model whose
+    structure has a plan skips the structural checks of ``validate``, which
+    that structure has passed, and has its indices and table numbers
+    checked; any fault is reported by ``validate`` itself.
+    """
+    # A table's class is part of the key: ``validate`` tells a CPT from a
+    # utility by it.
+    try:
+        key = (
+            barren,
+            model.master,
+            model.variables,
+            model.arcs,
+            tuple((type(t), t.variable, t.time_index, t.parents) for t in model.cpds),
+            tuple((type(u), u.variable, u.time_index, u.parents) for u in model.utilities),
+            model.tick,
+        )
+        plan = _plans.get(key)
+    except TypeError:  # a hand-built field that cannot be hashed: no plan kept
+        key = plan = None
+    if plan is None or not plan.admits(model):
+        problems = validate(model)
+        if problems:
+            raise ModelError("invalid model: " + "; ".join(problems))
+    did = _unroll(model)
+    if plan is None:
+        plan = _Plan.of(model, did, barren)
+        if key is not None:
+            remember(_plans, key, plan, _PLAN_CAP)
+    if plan.keep is not None:
+        did = _restrict(did, {did.nodes[k].id for k in plan.keep})
+    return did
+
+
+# Deployment plans by structure (the key ``deploy`` builds), oldest first
+# and at most _PLAN_CAP of them.
+_PLAN_CAP = 16
+_plans: dict[tuple, _Plan] = {}
+
+
+class _Plan(NamedTuple):
+    """What every valid model of one structure shares beyond its unrolling:
+    each table's row and column counts, for the numeric checks, and the
+    positions, in unrolling order, of the nodes barren removal keeps (None:
+    all of them, or no barren removal).  It holds no number, index or node
+    id of the model that built it."""
+
+    shapes: tuple[tuple[int, int], ...]
+    keep: tuple[int, ...] | None
+
+    @classmethod
+    def of(cls, model: CondensedTdid, did: DeployedDid, barren: bool) -> _Plan:
+        size = {v.name: len(v.states) for v in model.variables}
+        shapes = tuple(
+            (math.prod(size[p] for p, _ in t.parents), size[t.variable])
+            for t in model.cpds + model.utilities
+        )
+        keep = None
+        if barren:
+            kept = _not_barren(did)
+            if len(kept) < len(did.nodes):
+                keep = tuple(k for k, n in enumerate(did.nodes) if n.id in kept)
+        return cls(shapes, keep)
+
+    def admits(self, model: CondensedTdid) -> bool:
+        """Whether ``validate`` passes a model of this structure, which it
+        has passed: an equal structure can still hold an index that is not
+        an int (1.0 == 1) or faulty numbers."""
+        master = model.master
+        if _check_sequence("", master):
+            return False
+        for v in model.variables:
+            if v.times is not master and _check_sequence("", v.times):
+                return False
+        tables = model.cpds + model.utilities
+        return not any(
+            _number_faults(t, *shape) for t, shape in zip(tables, self.shapes)
+        )
+
+
+def _unroll(model: CondensedTdid) -> DeployedDid:
+    """The deployed form of a valid model, barren nodes included."""
     nodes: list[SliceNode] = []
     tables: list[DeployedTable] = []
     utilities: list[DeployedUtility] = []
@@ -248,7 +340,7 @@ def deploy(model: CondensedTdid, *, barren: bool = True) -> DeployedDid:
         tuple(utilities),
         tuple((d, parents_of[d]) for d in _order_decisions(nodes, parents_of)),
     )
-    return eliminate_barren(did) if barren else did
+    return did
 
 
 def _order_decisions(nodes, parents_of) -> list[NodeId]:
@@ -292,10 +384,20 @@ def eliminate_barren(did: DeployedDid) -> DeployedDid:
     run forward, so a decision after D* reaches only nodes that are
     stripped too.  The maximum expected utility is unchanged.
     """
+    return _restrict(did, _not_barren(did))
+
+
+def _not_barren(did: DeployedDid) -> set[NodeId]:
+    """The ids of the nodes ``eliminate_barren`` keeps."""
     order = did.decision_order
     keep = _ancestors(did.parents_of, did.value_nodes)
     cut = max((k + 1 for k, d in enumerate(order) if d in keep), default=0)
     _ancestors(did.parents_of, order[:cut], out=keep)
+    return keep
+
+
+def _restrict(did: DeployedDid, keep: set[NodeId]) -> DeployedDid:
+    """The diagram with only the nodes in ``keep``, in their order."""
     return DeployedDid(
         did.slices,
         tuple(n for n in did.nodes if n.id in keep),

@@ -29,6 +29,7 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from ._fmt import canonical_json, fmt_float, fmt_int
+from ._memo import remember
 from .deploy import deploy, table_entry_count
 from .model import CondensedTdid, ModelError, ModelFormatError, _decode, _read
 from .model import parse as parse_model
@@ -254,9 +255,7 @@ def _policy(model: CondensedTdid) -> Policy:
     policy = _policies.get(model)
     if policy is None:
         policy = solve(_deployed(model))
-        if len(_policies) >= _POLICY_CAP:
-            del _policies[next(iter(_policies))]
-        _policies[model] = policy
+        remember(_policies, model, policy, _POLICY_CAP)
     return policy
 
 

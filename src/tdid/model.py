@@ -382,27 +382,37 @@ def _check_table(model, t, covered, times) -> list[str]:
                 f"({_sig(want)})"
             )
 
-    if is_cpd:
+    n_cols = len(v.states)
+    out.extend(f"{where}: {fault}" for fault in _number_faults(t, n_rows, n_cols))
+    return out
+
+
+def _number_faults(t, n_rows: int, n_cols: int) -> list[str]:
+    """The checks of one table's numbers, each fault without the table's
+    name: a CPT's row count, row widths, finite entries in [0, 1] and row
+    sums, or a utility's value count and finite values.  ``n_rows`` is the
+    product of the parents' state counts and ``n_cols`` the child's."""
+    out: list[str] = []
+    if isinstance(t, TabularCpd):
         if len(t.table) != n_rows:
-            out.append(f"{where}: expected {n_rows} rows, got {len(t.table)}")
-        n_cols = len(v.states)
+            out.append(f"expected {n_rows} rows, got {len(t.table)}")
         for r, row in enumerate(t.table):
             if len(row) != n_cols:
-                out.append(f"{where}: row {r} has {len(row)} entries, expected {n_cols}")
+                out.append(f"row {r} has {len(row)} entries, expected {n_cols}")
                 continue
             if not all(map(math.isfinite, row)):
-                out.append(f"{where}: row {r} has non-finite entries")
+                out.append(f"row {r} has non-finite entries")
                 continue
-            if any(x < 0.0 or x > 1.0 for x in row):
-                out.append(f"{where}: row {r} has entries outside [0, 1]")
+            if min(row) < 0.0 or max(row) > 1.0:
+                out.append(f"row {r} has entries outside [0, 1]")
             s = sum(row)
             if abs(s - 1.0) > ROW_SUM_TOL:
-                out.append(f"{where}: row {r} sums to {s!r}, expected 1")
+                out.append(f"row {r} sums to {s!r}, expected 1")
     else:
         if len(t.values) != n_rows:
-            out.append(f"{where}: expected {n_rows} values, got {len(t.values)}")
+            out.append(f"expected {n_rows} values, got {len(t.values)}")
         if not all(map(math.isfinite, t.values)):
-            out.append(f"{where}: utility values must be finite")
+            out.append("utility values must be finite")
     return out
 
 
@@ -540,29 +550,31 @@ def parse(text: str | bytes) -> CondensedTdid:
                 var_lines[v.name],
             )
 
-    model = CondensedTdid(master, tuple(variables), tuple(arcs), (), (), tick)
-
+    # Each declared variable's indices, and each child's instantaneous and
+    # lag parents by name.
+    times = {v.name: frozenset(v.times) for v in variables}
+    into: dict[str, tuple[set[str], set[str]]] = {}
     for a in arcs:
         for end in (a.src, a.dst):
-            if not model.has_variable(end):
+            if end not in times:
                 raise ModelFormatError(f"arc references undeclared variable {end!r}")
+        into.setdefault(a.dst, (set(), set()))[a.kind == LAG].add(a.src)
 
     cpds = []
     seen_tables: set[tuple[str, str, int | None]] = set()
-    times = {v.name: frozenset(v.times) for v in variables}
     for ln, name, idx, parents, rows in raw_cpds:
-        cpds.append(
-            TabularCpd(name, idx, _assign_roles(model, name, parents, ln), rows)
-        )
+        roles = _assign_roles(times, into.get(name), name, parents, ln)
+        cpds.append(TabularCpd(name, idx, roles, rows))
         _check_declared(times, "cpt", name, idx, ln, seen_tables)
     utils = []
     for ln, name, idx, parents, values in raw_utils:
-        utils.append(
-            UtilityTable(name, idx, _assign_roles(model, name, parents, ln), values)
-        )
+        roles = _assign_roles(times, into.get(name), name, parents, ln)
+        utils.append(UtilityTable(name, idx, roles, values))
         _check_declared(times, "util", name, idx, ln, seen_tables)
 
-    return replace(model, cpds=tuple(cpds), utilities=tuple(utils))
+    return CondensedTdid(
+        master, tuple(variables), tuple(arcs), tuple(cpds), tuple(utils), tick
+    )
 
 
 def _check_declared(times, label, name, idx, ln, seen) -> None:
@@ -580,18 +592,19 @@ def _check_declared(times, label, name, idx, ln, seen) -> None:
         )
 
 
-def _assign_roles(model, child, parents, ln) -> tuple[tuple[str, str], ...]:
-    """Resolve listed parent names to (name, role) pairs using the arcs.
+def _assign_roles(declared, into, child, parents, ln) -> tuple[tuple[str, str], ...]:
+    """Resolve listed parent names to (name, role) pairs using the arcs:
+    ``into`` is the child's instantaneous and lag parent names (None when
+    no arc enters it), and ``declared`` holds every variable name.
 
     A parent connected by both an instantaneous and a lag arc must be listed
     twice; the first mention is the instantaneous one.
     """
-    inst = {a.src for a in model.arcs_into(child, INST)}
-    lag = {a.src for a in model.arcs_into(child, LAG)}
+    inst, lag = into or ((), ())
     used_inst: set[str] = set()
     out = []
     for pname in parents:
-        if not model.has_variable(pname):
+        if pname not in declared:
             raise ModelFormatError(
                 f"table for {child!r} references undeclared variable {pname!r}", ln
             )

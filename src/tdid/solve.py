@@ -43,6 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._memo import remember
 from .deploy import DeployedDid, NodeId, node_name
 from .model import DECISION, VALUE, ModelError, _ancestors
 
@@ -518,9 +519,7 @@ class _Plan:
         skeleton = _skeletons.get(key)
         if skeleton is None:
             skeleton = _Skeleton(did, evaluating)
-            if len(_skeletons) >= _SKELETON_CAP:
-                del _skeletons[next(iter(_skeletons))]
-            _skeletons[key] = skeleton
+            remember(_skeletons, key, skeleton, _SKELETON_CAP)
         self.search_bound = skeleton.search_bound
         self.frontier_cells = skeleton.frontier_cells
         _refuse_search(self.search_bound)
@@ -816,6 +815,14 @@ def _check_policy(did: DeployedDid, policy: Policy) -> None:
             "policy does not cover the decisions: "
             + (f"missing {missing}" if missing else f"unknown {extra}")
         )
+    if len(policy.rules) != len(want):
+        seen = set()
+        for r in policy.rules:
+            if r.node in seen:
+                raise SolveError(
+                    f"policy has more than one rule for {node_name(r.node)}"
+                )
+            seen.add(r.node)
     for r in policy.rules:
         if r.observations != did.info_by_decision[r.node]:
             raise SolveError(
@@ -835,9 +842,7 @@ def _check_policy(did: DeployedDid, policy: Policy) -> None:
 def evaluate_policy(did: DeployedDid, policy: Policy) -> float:
     """Expected total utility of following the fixed policy."""
     _check_policy(did, policy)
-    choices: dict = {}
-    for r in policy.rules:  # the first rule per decision, as ``Policy.rule``
-        choices.setdefault(r.node, r.choices)
+    choices = {r.node: r.choices for r in policy.rules}
     planned, plan = _last_plan
     if planned is not did:
         plan = _Plan(did, evaluating=True)

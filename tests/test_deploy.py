@@ -1,9 +1,14 @@
 """Deployment: unrolling, copies, lag wiring, barren removal, collapse."""
 
+import dataclasses
+import gc
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from tdid.model import DECISION, INST, VALUE, ModelError, parse
+from tdid.model import DECISION, INST, VALUE, ModelError, UtilityTable, parse, validate
 from tdid.deploy import (
     COPY,
     collapse_copies,
@@ -16,7 +21,7 @@ from tdid.deploy import (
 )
 
 from conftest import cardiac_text
-from gen import random_model
+from gen import corpus, random_model
 from tdid._fmt import fmt_float, fmt_int
 from tdid.deploy import DeployedDid, DeployedTable, DeployedUtility, SliceNode
 
@@ -719,3 +724,246 @@ def test_a_table_of_no_node_is_a_model_error():
     for render in (collapse_copies, serialize_deployed, table_entry_count):
         with pytest.raises(ModelError, match="^no deployed node ghost@1$"):
             render(hand_built)
+
+
+# --- deployment plans, shared by every model of one structure ---------------
+
+
+@pytest.fixture
+def plans():
+    """The module's plan cache, cleared before and after the test."""
+    import tdid.deploy
+
+    tdid.deploy._plans.clear()
+    yield tdid.deploy._plans
+    tdid.deploy._plans.clear()
+
+
+def _redraw(m, rng):
+    """The model with every CPT row and utility value drawn afresh."""
+
+    def rows(t):
+        return tuple(tuple(rng.dirichlet(np.ones(len(r))).tolist()) for r in t.table)
+
+    def values(u):
+        return tuple(rng.integers(-9, 10, len(u.values)) * 1.0)
+
+    return dataclasses.replace(
+        m,
+        cpds=tuple(dataclasses.replace(t, table=rows(t)) for t in m.cpds),
+        utilities=tuple(dataclasses.replace(u, values=values(u)) for u in m.utilities),
+    )
+
+
+def _redrawn_structures():
+    """Per structure, redraws of its numbers: eight of cardiac at T=1..5,
+    and two of each model of a binary and a multi-state corpus."""
+    rng = np.random.default_rng(61)
+    for horizon in range(1, 6):
+        m = parse(cardiac_text(horizon))
+        yield [m] + [_redraw(m, rng) for _ in range(7)]
+    binary = corpus(60, seed=7)
+    multi = corpus(40, seed=5, max_policies=4096, states=(2, 4), with_decision=True)
+    for m, _ in binary + multi:
+        yield [m, _redraw(m, rng)]
+
+
+def _deployed(m, barren):
+    did = deploy(m, barren=barren)
+    return did, serialize_deployed(did)
+
+
+@pytest.mark.parametrize("barren", [True, False])
+def test_models_deploy_alike_on_a_warm_and_a_cleared_cache(plans, barren):
+    for models in _redrawn_structures():
+        cold = []
+        for m in models:
+            plans.clear()
+            cold.append(_deployed(m, barren))
+        # Warm, in either order: every model after the first is a hit.
+        assert [_deployed(m, barren) for m in models] == cold
+        assert [_deployed(m, barren) for m in models[::-1]] == cold[::-1]
+        assert len(plans) == 1
+
+
+def test_a_planned_structure_skips_validate(plans, monkeypatch):
+    import tdid.deploy
+
+    calls = []
+    monkeypatch.setattr(tdid.deploy, "validate", lambda m: calls.append(m) or [])
+    m = parse(cardiac_text(3))
+    redrawn = _redraw(m, np.random.default_rng(3))
+    deploy(m)
+    deploy(redrawn)
+    assert calls == [m]
+
+
+def _cardiac_with(cpd=None, util=None, **fields):
+    """Cardiac at T=3 with its stationary ``cr`` CPT's rows or its ``U_surv``
+    utility's values replaced, or with other fields replaced."""
+    m = parse(cardiac_text(3))
+    cpds, utilities = list(m.cpds), list(m.utilities)
+    if cpd is not None:
+        cpds[1] = dataclasses.replace(cpds[1], table=cpd)
+    if util is not None:
+        utilities[0] = dataclasses.replace(utilities[0], values=util)
+    return dataclasses.replace(
+        m, cpds=tuple(cpds), utilities=tuple(utilities), **fields
+    )
+
+
+# cr's stationary CPT after its first row.
+CR_ROWS = ((0.75, 0.25), (0.15, 0.85), (0.05, 0.95))
+
+NUMERIC_FAULTS = {
+    "row sum": _cardiac_with(cpd=((0.4, 0.5),) + CR_ROWS),
+    "nan": _cardiac_with(cpd=((math.nan, 0.6),) + CR_ROWS),
+    "negative": _cardiac_with(cpd=((-0.4, 1.4),) + CR_ROWS),
+    "row count": _cardiac_with(cpd=((0.4, 0.6),) + CR_ROWS[:2]),
+    "row width": _cardiac_with(cpd=((0.4, 0.3, 0.3),) + CR_ROWS),
+    "utility": _cardiac_with(util=(2.0, 0.0, math.inf, 10.0)),
+    "tick": _cardiac_with(tick=(0.0, "minute")),
+}
+
+
+@pytest.mark.parametrize("fault", NUMERIC_FAULTS)
+def test_a_numeric_fault_on_a_planned_structure_is_reported_as_on_a_cold_one(
+    plans, fault
+):
+    bad = NUMERIC_FAULTS[fault]
+    problems = validate(bad)
+    assert problems
+    messages = []
+    for warm in (True, False):
+        plans.clear()
+        if warm:
+            deploy(parse(cardiac_text(3)))
+        with pytest.raises(ModelError) as raised:
+            deploy(bad)
+        messages.append(str(raised.value))
+        assert len(plans) == warm
+    assert messages == ["invalid model: " + "; ".join(problems)] * 2
+
+
+def _remastered(m, master):
+    """The model with its master sequence, and every variable's times,
+    replaced by ``master``."""
+    return dataclasses.replace(
+        m,
+        master=master,
+        variables=tuple(dataclasses.replace(v, times=master) for v in m.variables),
+    )
+
+
+def test_an_equal_structure_with_float_indices_is_still_refused(plans):
+    m = parse(cardiac_text(2))
+    deploy(m)
+    floats = [
+        _remastered(m, (1.0, 2.0)),
+        dataclasses.replace(
+            m, variables=(dataclasses.replace(m.variables[0], times=(1, 2.0)),)
+            + m.variables[1:],
+        ),
+    ]
+    for bad in floats:
+        assert bad == m
+        with pytest.raises(ModelError, match="must be positive integers") as raised:
+            deploy(bad)
+        assert str(raised.value) == "invalid model: " + "; ".join(validate(bad))
+    assert len(plans) == 1
+
+
+def test_a_table_of_the_other_class_is_still_refused(plans):
+    m = parse(cardiac_text(2))
+    deploy(m)
+    cr = m.cpds[1]
+    swapped = UtilityTable(cr.variable, cr.time_index, cr.parents, (1.0,) * 4)
+    bad = dataclasses.replace(m, cpds=(m.cpds[0], swapped) + m.cpds[2:])
+    with pytest.raises(ModelError, match="utility declared for chance variable"):
+        deploy(bad)
+    assert len(plans) == 1
+
+
+def test_a_bool_index_names_its_nodes_as_given(plans):
+    m = parse(cardiac_text(2))
+    deploy(m)
+    truthy = _remastered(m, (True, 2))
+    assert truthy == m
+    text = serialize_deployed(deploy(truthy))
+    assert "chance cr@True :" in text and "chance cr@1 " not in text
+    plans.clear()
+    assert serialize_deployed(deploy(truthy)) == text
+
+
+def test_a_model_that_cannot_be_hashed_deploys_and_is_not_stored(plans):
+    m = parse(cardiac_text(3))
+    listed = dataclasses.replace(
+        m,
+        variables=tuple(
+            dataclasses.replace(v, states=list(v.states)) for v in m.variables
+        ),
+    )
+    with pytest.raises(TypeError):
+        hash(listed)
+    want = serialize_deployed(deploy(m))
+    plans.clear()
+    for _ in range(2):
+        assert serialize_deployed(deploy(listed)) == want
+    assert plans == {}
+
+
+def test_the_cache_never_holds_more_than_its_cap(plans):
+    import tdid.deploy
+
+    cap = tdid.deploy._PLAN_CAP
+    models = [m for m, _ in corpus(3 * cap, seed=7)]
+    plans.clear()
+    sizes = []
+    for m in models:
+        deploy(m)
+        sizes.append(len(plans))
+    assert max(sizes) == cap == sizes[-1]
+
+
+def test_a_refused_structure_is_refused_again_and_never_stored(plans):
+    m = parse(cardiac_text(3))
+    # cr's stationary CPT read as if cr had no lag parents.
+    bad = _cardiac_with(cpd=((0.4, 0.6),))
+    cpds = list(bad.cpds)
+    cpds[1] = dataclasses.replace(cpds[1], parents=())
+    bad = dataclasses.replace(bad, cpds=tuple(cpds))
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ModelError) as raised:
+            deploy(bad)
+        messages.append(str(raised.value))
+    assert messages == ["invalid model: " + "; ".join(validate(bad))] * 2
+    assert "do not match" in messages[0]
+    assert plans == {}
+    deploy(m)
+    assert len(plans) == 1
+
+
+def test_long_deploy_plans_stay_small(plans):
+    models = [
+        cardiac_shape(shape, horizon)
+        for horizon in (80, 100, 120, 140, 160)
+        for shape in ("dense", "copy-heavy", "barren-heavy")
+    ]
+    for m in models:  # the models' own lazily built indexes, outside the count
+        deploy(m, barren=False)
+    plans.clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for m in models:
+            deploy(m, barren=False)
+        assert len(plans) == len(models)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        plans.clear()
+        gc.collect()
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert 0 < held < 0.5e6

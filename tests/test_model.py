@@ -1,5 +1,6 @@
 """Condensed model: validation, parsing, canonical serialization."""
 
+import json
 import os
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tdid._fmt import fmt_float
+from tdid._fmt import _quote, fmt_float
 from tdid.model import (
     CHANCE,
     INST,
@@ -364,6 +365,13 @@ def test_parse_rejects_bad_header():
         parse("tdid 9\nmaster 1\n")
 
 
+def test_parse_reads_each_table_entry_as_one_number():
+    text = MINIMAL.replace(": 0.5 0.5", ": 0.5,0.5")
+    assert text != MINIMAL
+    with pytest.raises(ModelFormatError, match="expected a number, got '0.5,0.5'"):
+        parse(text)
+
+
 def test_parse_rejects_duplicate_table():
     text = MINIMAL + "cpt X @ 1 | : 0.5 0.5\n"
     with pytest.raises(ModelFormatError, match="duplicate cpt"):
@@ -440,6 +448,29 @@ def test_float_formatting_round_trips(x):
     # 17 significant digits reproduce any double exactly.
     assert float(fmt_float(x)) == x
     assert fmt_float(x) == fmt_float(x)
+
+
+def _quote_by_character(s):
+    """JSON string quoting one character at a time, as ``_quote`` must."""
+    escapes = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+    out = []
+    for ch in s:
+        if ch in escapes:
+            out.append(escapes[ch])
+        elif ord(ch) < 0x20:
+            out.append("\\u%04x" % ord(ch))
+        else:
+            out.append(ch)
+    return '"' + "".join(out) + '"'
+
+
+def test_quote_matches_the_per_character_escape():
+    singles = [chr(c) for c in range(0xA0)]
+    mixed = ["", "treat@1", "caf\u00e9 \u03b1\u03b2", "\U0001f600 x", "a\u2028b"]
+    mixed.append("\u00ff\"\\\n")
+    for s in singles + [f"a{c}b" for c in singles] + mixed:
+        assert _quote(s) == _quote_by_character(s)
+        assert json.loads(_quote(s)) == s
 
 
 def scanned_table_for(model, name, i):

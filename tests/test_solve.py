@@ -555,6 +555,24 @@ def test_cardiac_fixture_choices_pinned(fixtures_dir):
     assert p.meu == pytest.approx(29.53498332870859, abs=1e-9)
 
 
+def test_evaluate_policy_refuses_a_decision_ruled_twice(fixtures_dir):
+    did = deploy(parse((fixtures_dir / "cardiac.tdid").read_bytes()))
+    p = solve(did)
+    twice = Policy(p.rules + p.rules[:1], p.meu)
+    with pytest.raises(SolveError) as raised:
+        evaluate_policy(did, twice)
+    assert str(raised.value) == "policy has more than one rule for treat@1"
+
+
+def test_evaluate_policy_takes_rules_in_any_order(fixtures_dir):
+    did = deploy(parse((fixtures_dir / "cardiac.tdid").read_bytes()))
+    p = solve(did)
+    assert len(p.rules) == 3
+    value = evaluate_policy(did, p)
+    assert value == pytest.approx(p.meu, abs=1e-9)
+    assert evaluate_policy(did, Policy(p.rules[::-1], p.meu)) == value
+
+
 @pytest.mark.parametrize("horizon", [4, 5])
 def test_cardiac_solve_and_evaluate_agree(horizon):
     did = deploy(cardiac(horizon))
