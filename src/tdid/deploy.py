@@ -23,6 +23,13 @@ the oldest evicted first.  A structure is planned only after ``validate``
 passes it.  A model whose structure is planned still has its indices and
 every table number checked on each call, and a fault is reported with the
 message ``validate`` gives.  ``validate`` itself still checks everything.
+
+Each pass copies nothing it does not change, and one that would change
+nothing returns its input.  A diagram has one parent map: ``deploy``
+seeds ``parents_of`` with the one it builds while unrolling, and barren
+removal and ``collapse_copies`` derive theirs from their input's.  No
+pass needs numpy: ``collapse_copies`` merges a repeated parent's axes by
+picking entries.
 """
 
 from __future__ import annotations
@@ -30,18 +37,17 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import groupby
 from operator import itemgetter
 from typing import NamedTuple
-
-import numpy as np
 
 from ._memo import remember
 from .model import (
     CHANCE,
     DECISION,
     INST,
+    LAG,
     VALUE,
     CondensedTdid,
     ModelError,
@@ -279,9 +285,18 @@ def _unroll(model: CondensedTdid) -> DeployedDid:
     tables: list[DeployedTable] = []
     utilities: list[DeployedUtility] = []
     parents_of: dict[NodeId, tuple[NodeId, ...]] = {}
-    # Each variable's most recent indexed slice strictly before the slice
-    # being deployed: where a lag arc from it, or a copy of it, reads.
-    prev: dict[str, int] = {}
+    # Each (variable, role) parent's slot in ``ids``, which holds, per
+    # variable, its id at the slice being deployed (an instantaneous
+    # parent) and then its id at its most recent indexed slice strictly
+    # before it (a lag parent, and what a copy reads), None while it has
+    # none.
+    names = [v.name for v in model.variables]
+    slot = {}
+    for k, p in enumerate(names):
+        slot[p, INST] = k
+        slot[p, LAG] = len(names) + k
+    ids: list = [None] * len(slot)
+    slots = partial(map, slot.__getitem__)
 
     # Nodes with a table of their own; every other indexed chance or value
     # node takes its variable's stationary table.
@@ -291,47 +306,58 @@ def _unroll(model: CondensedTdid) -> DeployedDid:
         if t.time_index is not None
     }
     # Per variable, what its nodes share: its indices, one identity-rows
-    # tuple for all its copies, and its stationary table or, for a
-    # decision, its parents.  A decision's parents are the same at every
-    # index but the first (see ``parent_signature``); there ``prev`` is
-    # empty, so its lag parents drop out below.
+    # tuple for all its copies (if it has any), its stationary table, the
+    # slots of its parents, and its lag slot.  A decision's parents are the
+    # same at every index but the first (see ``parent_signature``); there no
+    # lag slot is filled, so its lag parents drop out below.
     plan = []
     for v in model.variables:
-        k = range(len(v.states))
-        ident = tuple(tuple(float(c == r) for c in k) for r in k)
+        times = set(v.times)
+        ident = None
+        if len(times) < len(model.master):
+            k = range(len(v.states))
+            ident = tuple(tuple(float(c == r) for c in k) for r in k)
         if v.kind == DECISION:
-            shared = parent_signature(model, v.name, model.master[-1])
+            shared, parents = None, parent_signature(model, v.name, model.master[-1])
         else:
             shared = model.table_for(v.name, None)
-        plan.append((v.name, v.kind, v.states, set(v.times), ident, shared))
+            parents = () if shared is None else shared.parents
+        lag = slot[v.name, LAG]
+        at = tuple(slots(parents))
+        plan.append((v.name, v.kind, v.states, times, ident, shared, at, lag))
+    # The records' constructors without their Python-level ``__new__``.
+    new = tuple.__new__
+    read = ids.__getitem__
     for i in model.master:
-        for name, kind, states, times, ident, shared in plan:
-            nid = (name, i)
+        here = [(name, i) for name in names]
+        ids[: len(names)] = here
+        # Once every variable has an earlier indexed slice, every slot is
+        # filled.
+        complete = None not in ids
+        indexed = []
+        for (name, kind, states, times, ident, t, at, lag), nid in zip(plan, here):
             if i not in times:
                 if kind != VALUE:  # value variables get no copies
-                    nodes.append(SliceNode(name, i, COPY, states))
-                    parents = parents_of[nid] = ((name, prev[name]),)
-                    tables.append(DeployedTable(nid, parents, ident))
+                    nodes.append(new(SliceNode, (name, i, COPY, states)))
+                    parents = parents_of[nid] = (ids[lag],)
+                    tables.append(new(DeployedTable, (nid, parents, ident)))
                 continue
-            nodes.append(SliceNode(name, i, kind, states))
-            if kind == DECISION:
-                signature = shared
-            else:
-                t = model.table_for(name, i) if nid in explicit else shared
-                signature = t.parents
-            # A lag parent with no earlier indexed slice is absent.
-            parents = parents_of[nid] = tuple(
-                [
-                    (p, i) if role == INST else (p, prev[p])
-                    for p, role in signature
-                    if role == INST or p in prev
-                ]
-            )
+            indexed.append((lag, nid))
+            nodes.append(new(SliceNode, (name, i, kind, states)))
+            if nid in explicit:
+                t = model.table_for(name, i)
+                at = tuple(slots(t.parents))
+            if complete:
+                parents = tuple(map(read, at))
+            else:  # a lag parent with no earlier indexed slice is absent
+                parents = tuple([ids[k] for k in at if ids[k] is not None])
+            parents_of[nid] = parents
             if kind == CHANCE:
-                tables.append(DeployedTable(nid, parents, t.table))
+                tables.append(new(DeployedTable, (nid, parents, t.table)))
             elif kind == VALUE:
-                utilities.append(DeployedUtility(nid, parents, t.values))
-        prev.update((name, i) for name, _, _, times, _, _ in plan if i in times)
+                utilities.append(new(DeployedUtility, (nid, parents, t.values)))
+        for lag, nid in indexed:
+            ids[lag] = nid
 
     did = DeployedDid(
         model.master,
@@ -340,6 +366,13 @@ def _unroll(model: CondensedTdid) -> DeployedDid:
         tuple(utilities),
         tuple((d, parents_of[d]) for d in _order_decisions(nodes, parents_of)),
     )
+    return _seeded(did, parents_of)
+
+
+def _seeded(did: DeployedDid, parents_of: dict) -> DeployedDid:
+    """``did`` with its ``parents_of`` view set to ``parents_of``, which
+    must equal what the view would derive, in value and in key order."""
+    did.__dict__["parents_of"] = parents_of
     return did
 
 
@@ -397,14 +430,40 @@ def _not_barren(did: DeployedDid) -> set[NodeId]:
 
 
 def _restrict(did: DeployedDid, keep: set[NodeId]) -> DeployedDid:
-    """The diagram with only the nodes in ``keep``, in their order."""
-    return DeployedDid(
+    """The diagram with only the nodes in ``keep``, in their order: ``did``
+    itself when that keeps every node, table, utility and decision."""
+    parents_of = did.parents_of
+    if keep.issuperset(parents_of):
+        return did
+    out = DeployedDid(
         did.slices,
         tuple(n for n in did.nodes if n.id in keep),
         tuple(t for t in did.tables if t.node in keep),
         tuple(u for u in did.utilities if u.node in keep),
         tuple(d for d in did.decisions if d[0] in keep),
     )
+    return _seeded(out, {n: ps for n, ps in parents_of.items() if n in keep})
+
+
+def _copy_sources(did: DeployedDid, index) -> dict[NodeId, NodeId]:
+    """Each copy node's source, the one parent of its table; ``index`` holds
+    the ids of the diagram's nodes.  A table of no node, a copy with no
+    table and a copy table with other than one parent are model errors."""
+    copies = {n.id for n in did.nodes if n.kind == COPY}
+    source = {}
+    for t in did.tables:
+        if t.node in copies:
+            if len(t.parents) != 1:
+                raise ModelError(
+                    f"copy {node_name(t.node)} has {len(t.parents)} parents, not 1"
+                )
+            source[t.node] = t.parents[0]
+        elif t.node not in index:
+            raise _no_node(t.node)
+    if len(source) < len(copies):
+        bare = next(n.id for n in did.nodes if n.kind == COPY and n.id not in source)
+        raise ModelError(f"copy {node_name(bare)} has no table")
+    return source
 
 
 def collapse_copies(did: DeployedDid) -> DeployedDid:
@@ -414,61 +473,81 @@ def collapse_copies(did: DeployedDid) -> DeployedDid:
     the source everywhere preserves the joint distribution and hence the
     maximum expected utility exactly.  When a child ends up with the same
     parent twice (it already depended on the source directly), the two
-    table axes are merged by taking their diagonal.
+    table axes are merged by taking their diagonal.  A diagram with no
+    copy, and no decision that lists a parent twice, is returned as it is.
     """
-    states = {n.id: n.states for n in did.nodes}
-    copies = {n.id for n in did.nodes if n.kind == COPY}
-    source = {}
-    for t in did.tables:
-        if t.node in copies:
-            (source[t.node],) = t.parents
-        elif t.node not in states:
-            raise _no_node(t.node)
+    by_id = did._by_id
+    source = _copy_sources(did, by_id)
+    if not source and all(len(set(ps)) == len(ps) for _, ps in did.decisions):
+        return did
 
     def resolve(nid: NodeId) -> NodeId:
         return source.get(nid, nid)
 
-    def rewire(parents, body):
-        """Parents with each copy replaced by its source, and the body
-        (rows or values) with the axes of a repeated parent merged."""
-        arr = np.asarray(body, dtype=float)
-        tail = arr.shape[1:]  # the child's states, for a table's rows
-        for p in parents:
-            if p not in states:
+    parents_of = {n: ps for n, ps in did.parents_of.items() if n not in source}
+
+    def rewire(record, body):
+        """The record's node, its parents with each copy replaced by its
+        source, and its body (rows or values) with the axes of a repeated
+        parent merged; a body whose parents stay distinct is kept as it
+        is, and one that does not fit its parents is a model error."""
+        for p in record.parents:
+            if p not in by_id:
                 raise _no_node(p)
-        arr = arr.reshape([len(states[p]) for p in parents] + list(tail))
-        new_parents = list(parents)
-        k = 0
-        while k < len(new_parents):
-            p = resolve(new_parents[k])
-            first = new_parents.index(p) if p in new_parents[:k] else k
-            if first < k:
-                arr = np.diagonal(arr, axis1=first, axis2=k)
-                arr = np.moveaxis(arr, -1, first)
-                del new_parents[k]
-            else:
-                new_parents[k] = p
-                k += 1
-        flat = arr.reshape(-1, *tail).tolist()
-        return tuple(new_parents), tuple(map(tuple, flat) if tail else flat)
+        sizes = [len(by_id[p].states) for p in record.parents]
+        if len(body) != math.prod(sizes):
+            raise ModelError(
+                f"{node_name(record.node)}: {len(body)} entries"
+                f" for {math.prod(sizes)} joint parent states"
+            )
+        parents = tuple(map(resolve, record.parents))
+        merged = tuple(dict.fromkeys(parents))
+        if len(merged) < len(parents):
+            body = _merge_axes(parents, sizes, body)
+        # A node's entry is its last record's parents (a hand-built diagram
+        # can give a node more than one record): set it only from that one.
+        if did.parents_of.get(record.node) is record.parents:
+            parents_of[record.node] = merged
+        return record.node, merged, body
 
     # A table or utility that reads no copy is kept as it is.
     nodes = tuple(n for n in did.nodes if n.kind != COPY)
     tables = tuple(
         t if source.keys().isdisjoint(t.parents)
-        else DeployedTable(t.node, *rewire(t.parents, t.rows))
+        else DeployedTable(*rewire(t, t.rows))
         for t in did.tables
         if t.node not in source
     )
     utilities = tuple(
         u if source.keys().isdisjoint(u.parents)
-        else DeployedUtility(u.node, *rewire(u.parents, u.values))
+        else DeployedUtility(*rewire(u, u.values))
         for u in did.utilities
     )
     decisions = tuple(
         (d, tuple(dict.fromkeys(map(resolve, parents)))) for d, parents in did.decisions
     )
-    return DeployedDid(did.slices, nodes, tables, utilities, decisions)
+    parents_of.update(decisions)
+    out = DeployedDid(did.slices, nodes, tables, utilities, decisions)
+    return _seeded(out, parents_of)
+
+
+def _merge_axes(parents, sizes, body) -> tuple:
+    """``body``, one entry per joint state of ``parents`` (last fastest,
+    axes of ``sizes``), over each distinct parent once, in order of first
+    appearance.  Each entry is the one whose repeats of a parent all take
+    that parent's state: numpy's ``diagonal`` of their axes, picked and
+    never computed, so every float (a signed zero too) is kept as it is."""
+    stride = dict.fromkeys(parents, 0)
+    size = {}
+    step = 1
+    for p, k in zip(reversed(parents), reversed(sizes)):
+        stride[p] += step
+        size[p] = min(k, size.get(p, k))
+        step *= k
+    picks = [0]
+    for p, step in stride.items():
+        picks = [at + s * step for at in picks for s in range(size[p])]
+    return tuple(map(body.__getitem__, picks))
 
 
 def table_entry_count(did: DeployedDid) -> int:
@@ -490,11 +569,14 @@ def table_entry_count(did: DeployedDid) -> int:
 
 
 class _Names(dict):
-    """Each node's printed name, formatted once.  An id that is not a node
-    of the diagram, which only a hand-built one can hold, still renders."""
+    """Each node's printed name, formatted once, and the node ids sorted
+    once (``order``).  An id that is not a node of the diagram, which only
+    a hand-built one can hold, still renders, and what holds one is sorted
+    on its own."""
 
     def __init__(self, did: DeployedDid):
-        super().__init__((n.id, node_name(n.id)) for n in did.nodes)
+        super().__init__({(b, i): f"{b}@{i}" for b, i, _, _ in did.nodes})  # node_name
+        self.order = sorted(self)
 
     def __missing__(self, node: NodeId) -> str:
         return node_name(node)
@@ -502,17 +584,29 @@ class _Names(dict):
     def join(self, ids) -> str:
         return " ".join(map(self.__getitem__, ids))
 
+    def by_node(self, records) -> list:
+        """Tables or utilities sorted by node, stably."""
+        by_node = {r.node: r for r in records}
+        if len(by_node) < len(records) or not by_node.keys() <= self.keys():
+            return sorted(records, key=itemgetter(0))
+        # ``get`` gives None for a node with no record.
+        return list(filter(None, map(by_node.get, self.order)))
+
     def arcs(self, did: DeployedDid) -> list[tuple[str, list[str]]]:
         """Each parent's printed name with its children's, in the order of
-        ``sorted(did.arcs)``: children are sorted once per node, not arcs
-        as pairs, and each parent's name is looked up once."""
+        ``sorted(did.arcs)``: children in node order, each appended to its
+        parents' lists, and each parent's name looked up once."""
         parents_of = did.parents_of
-        children: defaultdict[NodeId, list[str]] = defaultdict(list)
-        for child in sorted(parents_of):
+        children = defaultdict(list, {p: [] for p in self.order})
+        # Every node is a key of ``parents_of``; a further key is no node's.
+        kids = self.order if len(parents_of) == len(self) else sorted(parents_of)
+        for child in kids:
             shown = self[child]
             for p in parents_of[child]:
                 children[p].append(shown)
-        return [(self[p], children[p]) for p in sorted(children)]
+        if len(children) > len(self):  # a parent that is no node
+            return [(self[p], children[p]) for p in sorted(children) if children[p]]
+        return [(self[p], shown) for p, shown in children.items() if shown]
 
 
 def serialize_deployed(did: DeployedDid) -> str:
@@ -527,45 +621,43 @@ def serialize_deployed(did: DeployedDid) -> str:
     from ._fmt import fmt_float, fmt_int
 
     name = _Names(did)
+    src_of = _copy_sources(did, name)
     out = ["deployed 2"]
     out.append("slices " + " ".join(map(fmt_int, did.slices)))
-    copies = {n.id for n in did.nodes if n.kind == COPY}
-    src_of = {}
-    for t in did.tables:
-        if t.node in copies:
-            src_of[t.node] = t.parents[0]
-        elif t.node not in name:
-            raise _no_node(t.node)
-    for n in did.nodes:
-        if n.kind == COPY:
-            out.append(f"copy {name[n.id]} of {name[src_of[n.id]]}")
-        elif n.kind == VALUE:
-            out.append(f"value {name[n.id]}")
+    # Nodes of one variable share its states, and unrolled slices share a
+    # few table bodies among many nodes: format each once.  Keyed by
+    # identity, not value: -0.0 == 0.0 but prints as "-0".
+    shown: dict = {}
+    for base, i, kind, states in did.nodes:
+        nid = (base, i)
+        if kind == COPY:
+            out.append(f"copy {name[nid]} of {name[src_of[nid]]}")
+        elif kind == VALUE:
+            out.append(f"value {name[nid]}")
         else:
-            out.append(f"{n.kind} {name[n.id]} : " + " ".join(n.states))
+            listed = shown.get(id(states))
+            if listed is None:
+                listed = shown[id(states)] = " ".join(states)
+            out.append(f"{kind} {name[nid]} : {listed}")
     for src, dsts in name.arcs(did):
         prefix = "arc " + src + " "
-        out.extend([prefix + dst for dst in dsts])
-    # Unrolled slices share a few table bodies among many nodes: format each
-    # once.  Keyed by identity, not value: -0.0 == 0.0 but prints as "-0".
-    body: dict = {}
-    for t in sorted(did.tables, key=lambda t: t.node):
-        if t.node in src_of:
+        out.append(prefix + ("\n" + prefix).join(dsts))
+    get = name.__getitem__
+    shown = {}
+    for node, parents, rows in name.by_node(did.tables):
+        if node in src_of:
             continue
-        rows = body.get(id(t.rows))
-        if rows is None:
-            rows = " , ".join(" ".join(map(fmt_float, r)) for r in t.rows)
-            body[id(t.rows)] = rows
-        parents = name.join(t.parents)
-        out.append(f"cpt {name[t.node]} |{' ' + parents if parents else ''} : {rows}")
-    body = {}
-    for u in sorted(did.utilities, key=lambda u: u.node):
-        parents = name.join(u.parents)
-        vals = body.get(id(u.values))
-        if vals is None:
-            vals = " ".join(map(fmt_float, u.values))
-            body[id(u.values)] = vals
-        out.append(f"util {name[u.node]} |{' ' + parents if parents else ''} : {vals}")
+        body = shown.get(id(rows))
+        if body is None:
+            body = " , ".join(" ".join(map(fmt_float, r)) for r in rows)
+            shown[id(rows)] = body
+        out.append(" ".join(["cpt", get(node), "|", *map(get, parents), ":", body]))
+    shown = {}
+    for node, parents, values in name.by_node(did.utilities):
+        body = shown.get(id(values))
+        if body is None:
+            body = shown[id(values)] = " ".join(map(fmt_float, values))
+        out.append(" ".join(["util", get(node), "|", *map(get, parents), ":", body]))
     out.extend(f"info {name[d]} : " + name.join(obs) for d, obs in did.decisions)
     if did.decision_order:
         out.append("order " + name.join(did.decision_order))

@@ -3,6 +3,10 @@
 import dataclasses
 import gc
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -23,7 +27,7 @@ from tdid.deploy import (
 from conftest import cardiac_text
 from gen import corpus, random_model
 from tdid._fmt import fmt_float, fmt_int
-from tdid.deploy import DeployedDid, DeployedTable, DeployedUtility, SliceNode
+from tdid.deploy import DeployedDid, DeployedTable, DeployedUtility, SliceNode, _restrict
 
 
 def two_var(fixtures_dir):
@@ -967,3 +971,240 @@ def test_long_deploy_plans_stay_small(plans):
     finally:
         tracemalloc.stop()
     assert 0 < held < 0.5e6
+
+
+# --- copy faults in hand-built diagrams ---------------------------------------
+
+
+def _with_copy_table(did, copy, table):
+    """``did`` with ``copy``'s table replaced by ``table`` (None: removed)."""
+    tables = tuple(
+        t for t in (table if t.node == copy else t for t in did.tables) if t is not None
+    )
+    return DeployedDid(did.slices, did.nodes, tables, did.utilities, did.decisions)
+
+
+def _copy_faults():
+    did = deploy(cardiac_shape("copy-heavy", horizon=6), barren=False)
+    copy = next(n.id for n in did.nodes if n.kind == COPY)
+    (source,) = did.table_by_node[copy].parents
+    two = DeployedTable(copy, (source, ("cr", 1)), ((1.0, 0.0),) * 4)
+    return {
+        "no table": (
+            _with_copy_table(did, copy, None),
+            f"copy {node_name(copy)} has no table",
+        ),
+        "two parents": (
+            _with_copy_table(did, copy, two),
+            f"copy {node_name(copy)} has 2 parents, not 1",
+        ),
+    }
+
+
+@pytest.mark.parametrize("render", [collapse_copies, serialize_deployed])
+@pytest.mark.parametrize("fault", ["no table", "two parents"])
+def test_a_faulty_copy_is_a_model_error(fault, render):
+    hand_built, message = _copy_faults()[fault]
+    with pytest.raises(ModelError) as raised:
+        render(hand_built)
+    assert str(raised.value) == message
+
+
+def test_collapse_refuses_a_body_that_does_not_fit_its_parents():
+    did = deploy(cardiac_shape("copy-heavy", horizon=6), barren=False)
+    copies = {n.id for n in did.nodes if n.kind == COPY}
+    u = next(u for u in did.utilities if not copies.isdisjoint(u.parents))
+    short = u._replace(values=u.values[:1])
+    hand_built = DeployedDid(
+        did.slices, did.nodes, did.tables,
+        tuple(short if x is u else x for x in did.utilities), did.decisions,
+    )
+    with pytest.raises(ModelError) as raised:
+        collapse_copies(hand_built)
+    assert str(raised.value) == f"{node_name(u.node)}: 1 entries for 2 joint parent states"
+
+
+# --- the axis merge of collapse, against numpy ---------------------------------
+
+
+def reference_rewire(parents, body, sizes, source):
+    """collapse_copies' merge of a repeated parent's axes, as numpy's
+    diagonal and moveaxis compute it."""
+    arr = np.asarray(body, dtype=float)
+    tail = arr.shape[1:]
+    arr = arr.reshape(list(sizes) + list(tail))
+    out = list(parents)
+    k = 0
+    while k < len(out):
+        p = source.get(out[k], out[k])
+        if p in out[:k]:
+            first = out.index(p)
+            arr = np.moveaxis(np.diagonal(arr, axis1=first, axis2=k), -1, first)
+            del out[k]
+        else:
+            out[k] = p
+            k += 1
+    flat = arr.reshape(-1, *tail).tolist()
+    return tuple(out), tuple(map(tuple, flat)) if tail else tuple(flat)
+
+
+def _signed(rng, n):
+    """n draws, a quarter of them zeros of either sign."""
+    x = rng.uniform(-1, 1, n)
+    x[rng.random(n) < 0.25] = 0.0
+    return [float(-v if v == 0 and rng.random() < 0.5 else v) for v in x]
+
+
+def _repeated_parents(rng):
+    """A diagram whose child Y@3 and utility U@3 read one to three variables
+    each through their node at slice 1 and one or two copies of it (slices
+    2 and 3), plus one parent read once, in a random order; each variable
+    has 2-4 states, and the parents at most 1024 joint states.  A few
+    copies have one state fewer than their source, which only a hand-built
+    diagram can hold: numpy's diagonal then keeps the shorter axis."""
+    repeated = [f"X{j}" for j in range(rng.integers(1, 4))]
+    copies = {v: int(rng.integers(1, 3)) for v in repeated}
+    sizes = {v: int(rng.integers(2, 5)) for v in repeated + ["Z", "Y"]}
+    if sizes["Z"] * math.prod(sizes[v] ** (1 + copies[v]) for v in repeated) > 1024:
+        return _repeated_parents(rng)
+    states = {v: tuple(f"s{k}" for k in range(n)) for v, n in sizes.items()}
+    nodes, tables, parents = [], [], [("Z", 1)]
+    for v in repeated:
+        nodes.append(SliceNode(v, 1, "chance", states[v]))
+        tables.append(DeployedTable((v, 1), (), (tuple(_signed(rng, sizes[v])),)))
+        parents.append((v, 1))
+        for i in range(2, 2 + copies[v]):
+            short = sizes[v] > 2 and rng.random() < 0.2
+            nodes.append(SliceNode(v, i, COPY, states[v][: -1 if short else None]))
+            tables.append(DeployedTable((v, i), ((v, 1),), ((1.0,),)))
+            parents.append((v, i))
+    nodes.append(SliceNode("Z", 1, "chance", states["Z"]))
+    tables.append(DeployedTable(("Z", 1), (), (tuple(_signed(rng, sizes["Z"])),)))
+    parents = tuple(parents[k] for k in rng.permutation(len(parents)))
+    size = {n.id: len(n.states) for n in nodes}
+    n = math.prod(size[p] for p in parents)
+    rows = tuple(tuple(_signed(rng, sizes["Y"])) for _ in range(n))
+    nodes += [SliceNode("Y", 3, "chance", states["Y"]), SliceNode("U", 3, VALUE, ())]
+    tables.append(DeployedTable(("Y", 3), parents, rows))
+    utility = DeployedUtility(("U", 3), parents, tuple(_signed(rng, n)))
+    return DeployedDid((1, 2, 3), tuple(nodes), tuple(tables), (utility,), ())
+
+
+def test_collapse_merges_repeated_axes_as_numpy_does():
+    rng = np.random.default_rng(2323)
+    signed_zeros = 0
+    for _ in range(300):
+        did = _repeated_parents(rng)
+        source = {t.node: t.parents[0] for t in did.tables if did.node(t.node).kind == COPY}
+        out = collapse_copies(did)
+        t, u = did.table_by_node[("Y", 3)], did.utilities[0]
+        sizes = [len(did.states(p)) for p in t.parents]
+        want_t = reference_rewire(t.parents, t.rows, sizes, source)
+        want_u = reference_rewire(u.parents, u.values, sizes, source)
+        got_t, got_u = out.table_by_node[("Y", 3)], out.utilities[0]
+        assert len(want_t[0]) < len(t.parents)
+        # repr tells -0.0 from 0.0, which == does not.
+        assert repr((got_t.parents, got_t.rows)) == repr(want_t)
+        assert repr((got_u.parents, got_u.values)) == repr(want_u)
+        signed_zeros += repr(got_u.values).count("-0.0")
+    assert signed_zeros
+
+
+# --- pass-through and seeded parent maps --------------------------------------
+
+
+def _derived_parents_of(did):
+    """``did.parents_of`` as the view derives it on a fresh diagram."""
+    fields = (did.slices, did.nodes, did.tables, did.utilities, did.decisions)
+    return list(DeployedDid(*fields).parents_of.items())
+
+
+def _assert_seeded_maps_are_derived(m):
+    raw = deploy(m, barren=False)
+    for did in (
+        raw,
+        deploy(m),
+        eliminate_barren(raw),
+        _restrict(raw, {n.id for n in raw.nodes[::2]}),
+        collapse_copies(raw),
+        collapse_copies(eliminate_barren(raw)),
+    ):
+        assert list(did.parents_of.items()) == _derived_parents_of(did)
+
+
+@pytest.mark.parametrize("shape", ["dense", "copy-heavy", "barren-heavy"])
+def test_seeded_parent_maps_are_derived_ones_on_long_cardiac(shape):
+    for horizon in (80, 100, 120, 140, 160):
+        _assert_seeded_maps_are_derived(cardiac_shape(shape, horizon))
+
+
+def test_seeded_parent_maps_are_derived_ones_on_random_models():
+    rng = np.random.default_rng(4242)
+    models = [
+        random_model(rng, max_deployed_nonvalue=12, max_decisions=4) for _ in range(400)
+    ]
+    binary = corpus(60, seed=7)
+    multi = corpus(40, seed=5, max_policies=4096, states=(2, 4), with_decision=True)
+    for m in models + [m for m, _ in binary + multi]:
+        _assert_seeded_maps_are_derived(m)
+
+
+def test_collapse_seeds_the_last_record_of_a_node_that_has_two():
+    did = deploy(cardiac_shape("copy-heavy", horizon=6), barren=False)
+    copies = {n.id for n in did.nodes if n.kind == COPY}
+    reads = next(u for u in did.utilities if not copies.isdisjoint(u.parents))
+    plain = next(u for u in did.utilities if copies.isdisjoint(u.parents))
+    fields = (did.slices, did.nodes, did.tables)
+    # A second utility of the node, then a decision entry for it: either
+    # reads no copy, and as the node's last record it gives its parents.
+    second = DeployedUtility(reads.node, plain.parents, plain.values)
+    for hand_built in (
+        DeployedDid(*fields, did.utilities + (second,), did.decisions),
+        DeployedDid(*fields, did.utilities, did.decisions + ((reads.node, plain.parents),)),
+    ):
+        out = collapse_copies(hand_built)
+        assert out.parents_of[reads.node] == plain.parents
+        assert list(out.parents_of.items()) == _derived_parents_of(out)
+
+
+def test_passes_return_a_diagram_they_do_not_change():
+    dense = deploy(cardiac_shape("dense"), barren=False)
+    assert eliminate_barren(dense) is dense
+    assert collapse_copies(dense) is dense
+    lean = eliminate_barren(deploy(cardiac_shape("barren-heavy"), barren=False))
+    assert not any(n.kind == COPY for n in lean.nodes)
+    assert collapse_copies(lean) is lean
+    copied = deploy(cardiac_shape("copy-heavy"))
+    assert collapse_copies(copied) is not copied
+
+
+def test_collapse_drops_a_repeated_decision_parent():
+    did = deploy(cardiac_shape("dense", horizon=3))
+    d, parents = did.decisions[-1]
+    twice = DeployedDid(
+        did.slices, did.nodes, did.tables, did.utilities,
+        did.decisions[:-1] + ((d, parents + parents[:1]),),
+    )
+    out = collapse_copies(twice)
+    assert out is not twice
+    assert out.decisions == did.decisions
+
+
+# --- import cost ---------------------------------------------------------------
+
+
+def test_structural_modules_do_not_import_numpy():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, tdid.model, tdid.deploy, tdid.abstraction; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
