@@ -14,19 +14,23 @@ The result carries an implicit super value node: total utility is the sum
 over all value nodes.  Decision nodes observe their informational parents
 plus every earlier decision; only the informational parents are stored.
 
-Each model structure is validated once: the master sequence, the
-variables, the arcs, each table's class, variable, index and parents, the
-tick and the ``barren`` flag, but not the table numbers.  Its plan
-(``_Plan``) holds each table's row and column counts and, with barren
-removal, the positions of the nodes it keeps; at most 16 plans are kept,
-the oldest evicted first.  A structure is planned only after ``validate``
-passes it.  A model whose structure is planned still has its indices and
-every table number checked on each call, and a fault is reported with the
-message ``validate`` gives.  ``validate`` itself still checks everything.
+Each model structure is validated and unrolled once: the master
+sequence, the variables, the arcs, each table's class, variable, index and
+parents, the tick and the ``barren`` flag, but not the table numbers.  Its
+plan (``_Plan``) holds each table's row and column counts and the
+unrolling as packed integer positions, for the nodes barren removal keeps
+when it is on; at most 16 plans are kept, the oldest evicted first.  A
+structure is planned only after ``validate`` passes it.  A model whose
+structure is planned still has its indices and every table number checked
+on each call, and a fault is reported with the message ``validate`` gives.
+``validate`` itself still checks everything.  Every call, the one that
+plans a structure too, builds its diagram from the plan (``_Plan.bind``):
+ids, records and parent map, with the model's own names, indices, states
+and table bodies.
 
 Each pass copies nothing it does not change, and one that would change
 nothing returns its input.  A diagram has one parent map: ``deploy``
-seeds ``parents_of`` with the one it builds while unrolling, and barren
+seeds ``parents_of`` with the one it builds from the plan, and barren
 removal and ``collapse_copies`` derive theirs from their input's.  No
 pass needs numpy: ``collapse_copies`` merges a repeated parent's axes by
 picking entries.
@@ -35,10 +39,11 @@ picking entries.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property, partial
-from itertools import groupby
+from functools import cache, cached_property, partial
+from itertools import accumulate, chain, count, groupby, repeat, starmap
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -202,18 +207,21 @@ def deploy(model: CondensedTdid, *, barren: bool = True) -> DeployedDid:
     A structure is validated and planned once (``_plans``): a model whose
     structure has a plan skips the structural checks of ``validate``, which
     that structure has passed, and has its indices and table numbers
-    checked; any fault is reported by ``validate`` itself.
+    checked; any fault is reported by ``validate`` itself.  Every model is
+    then bound to its structure's plan.
     """
-    # A table's class is part of the key: ``validate`` tells a CPT from a
-    # utility by it.
+    # The key holds the structure's fields as plain tuples, which hash and
+    # compare in C, where the records' own hash and equality run in Python.
+    # A table's class is part of it: ``validate`` tells a CPT from a utility
+    # by it.
     try:
         key = (
             barren,
             model.master,
-            model.variables,
-            model.arcs,
-            tuple((type(t), t.variable, t.time_index, t.parents) for t in model.cpds),
-            tuple((type(u), u.variable, u.time_index, u.parents) for u in model.utilities),
+            tuple([(v.name, v.kind, v.states, v.times) for v in model.variables]),
+            tuple([(a.src, a.dst, a.kind) for a in model.arcs]),
+            tuple([(type(t), t.variable, t.time_index, t.parents) for t in model.cpds]),
+            tuple([(type(u), u.variable, u.time_index, u.parents) for u in model.utilities]),
             model.tick,
         )
         plan = _plans.get(key)
@@ -223,14 +231,11 @@ def deploy(model: CondensedTdid, *, barren: bool = True) -> DeployedDid:
         problems = validate(model)
         if problems:
             raise ModelError("invalid model: " + "; ".join(problems))
-    did = _unroll(model)
     if plan is None:
-        plan = _Plan.of(model, did, barren)
+        plan = _Plan.of(model, barren)
         if key is not None:
             remember(_plans, key, plan, _PLAN_CAP)
-    if plan.keep is not None:
-        did = _restrict(did, {did.nodes[k].id for k in plan.keep})
-    return did
+    return plan.bind(model)
 
 
 # Deployment plans by structure (the key ``deploy`` builds), oldest first
@@ -238,30 +243,190 @@ def deploy(model: CondensedTdid, *, barren: bool = True) -> DeployedDid:
 _PLAN_CAP = 16
 _plans: dict[tuple, _Plan] = {}
 
+# Node kinds by their code in a plan.
+_KINDS = (CHANCE, DECISION, VALUE, COPY)
+
+
+def _packed(values, bound: int) -> bytes | array:
+    """The ints ``values``, each in ``range(bound)``, packed: one byte each
+    where that holds them, else an array of 16-bit or wider ints."""
+    if bound <= 1 << 8:
+        return bytes(values)
+    return array("H" if bound <= 1 << 16 else "L", values)
+
 
 class _Plan(NamedTuple):
-    """What every valid model of one structure shares beyond its unrolling:
-    each table's row and column counts, for the numeric checks, and the
-    positions, in unrolling order, of the nodes barren removal keeps (None:
-    all of them, or no barren removal).  It holds no number, index or node
-    id of the model that built it."""
+    """A structure's unrolling as positions, and each table's row and
+    column counts (``shapes``) for the numeric checks.
+
+    Per node, in node order, and only the nodes barren removal keeps when
+    it is on: its variable's position in ``model.variables`` (``var``), its
+    slice's position in ``model.master`` (``at``), its kind's in ``_KINDS``,
+    and its parents as node positions, every node's one after another in
+    ``parents`` with each node's end in ``ends``.  Per table, its node's
+    position and its body's (``bodies``): a position in ``model.cpds``, or
+    past them, a position in ``copied``, the variables whose identity rows
+    copies take.  Per utility, its node's position and its position in
+    ``model.utilities`` (``values``).  Then the decisions' node positions,
+    in decision order.  It holds no number, index, slice, state or node id
+    of the model that built it: ``bind`` takes those from each model.
+    """
 
     shapes: tuple[tuple[int, int], ...]
-    keep: tuple[int, ...] | None
+    var: bytes | array
+    at: bytes | array
+    kind: bytes
+    parents: bytes | array
+    ends: bytes | array
+    tables: bytes | array
+    bodies: bytes | array
+    copied: bytes | array
+    utilities: bytes | array
+    values: bytes | array
+    decisions: bytes | array
 
     @classmethod
-    def of(cls, model: CondensedTdid, did: DeployedDid, barren: bool) -> _Plan:
-        size = {v.name: len(v.states) for v in model.variables}
-        shapes = tuple(
-            (math.prod(size[p] for p, _ in t.parents), size[t.variable])
+    def of(cls, model: CondensedTdid, barren: bool) -> _Plan:
+        """The plan of a valid model: its structure unrolled once, then,
+        with ``barren``, cut to the nodes barren removal keeps.  Each body
+        is recorded by its table's position, never by the body object,
+        which a hand-built model can share between tables."""
+        variables, master = model.variables, model.master
+        n = len(variables)
+        size = {v.name: len(v.states) for v in variables}.__getitem__
+        shapes = tuple([
+            (math.prod(map(size, map(itemgetter(0), t.parents))), size(t.variable))
             for t in model.cpds + model.utilities
-        )
-        keep = None
+        ])
+        # Each (variable, role) parent's slot in ``ids``, which holds, per
+        # variable, the position of its node at the slice being deployed (an
+        # instantaneous parent) and then that of its node at its most recent
+        # indexed slice strictly before it (a lag parent, and what a copy
+        # reads), None while it has none.
+        slot = {}
+        for j, v in enumerate(variables):
+            slot[v.name, INST] = j
+            slot[v.name, LAG] = n + j
+        slots = partial(map, slot.__getitem__)
+        ids = [None] * (2 * n)
+        # Per variable, its explicit tables: by index, the table's position
+        # and parent slots.  Every other indexed chance or value node takes
+        # its variable's stationary table.
+        explicit: dict = {v.name: {} for v in variables}
+        for pool, index in (
+            (model.cpds, model._cpd_positions),
+            (model.utilities, model._utility_positions),
+        ):
+            for (name, i), k in index.items():
+                if i is not None:
+                    explicit[name][i] = k, tuple(slots(pool[k].parents))
+
+        var, at, parents, ends, copies, copied = [], [], [], [], [], []
+        tables, bodies, utilities, values, decisions = [], [], [], [], []
+        add = {
+            CHANCE: (tables.append, bodies.append),
+            VALUE: (utilities.append, values.append),
+            DECISION: (decisions.append, [].append),
+        }
+        # Per variable, what its nodes share: its indices, its explicit
+        # tables, its stationary table's position (None: none), the slots of
+        # its parents, its copies' body (None: no copies), and where a
+        # node's position and source go.  A decision's parents are the same
+        # at every index but the first (see ``parent_signature``); there no
+        # lag slot is filled, so its lag parents drop out below.  A value
+        # variable has nodes at its own indices only (``valued``), every
+        # other variable at every index.
+        per_var, valued = [], []
+        for j, v in enumerate(variables):
+            times = set(v.times)
+            body = None
+            if v.kind != VALUE and len(times) < len(master):
+                body = len(model.cpds) + len(copied)
+                copied.append(j)
+            if v.kind == DECISION:
+                shared, reads = None, parent_signature(model, v.name, master[-1])
+            else:
+                pool, index = (
+                    (model.utilities, model._utility_positions) if v.kind == VALUE
+                    else (model.cpds, model._cpd_positions)
+                )
+                shared = index.get((v.name, None))
+                reads = () if shared is None else pool[shared].parents
+            per_var.append(
+                (times, explicit[v.name], shared, tuple(slots(reads)), body, *add[v.kind])
+            )
+            valued.append(times if v.kind == VALUE else None)
+        # The indices where every variable has a node.
+        full = set(master).intersection(*(t for t in valued if t is not None))
+
+        read = ids.__getitem__
+        complete = False
+        for m, i in enumerate(master):
+            # The variables with a node here, and their nodes' positions.
+            k = len(var)
+            if i in full:
+                here = range(n)
+                ids[:n] = range(k, k + n)
+            else:
+                here = [j for j, times in enumerate(valued) if times is None or i in times]
+                for j, node in zip(here, count(k)):
+                    ids[j] = node
+            var += here
+            at += repeat(m, len(here))
+            # Once every variable has an earlier indexed slice, every slot
+            # is filled.
+            complete = complete or None not in ids[n:]
+            indexed = []
+            for j, (times, own, source, reads, body, node_at, source_at) in enumerate(per_var):
+                if i in times:
+                    indexed.append(j)
+                    if own:
+                        source, reads = own.get(i, (source, reads))
+                    if complete:
+                        parents += map(read, reads)
+                    else:  # a lag parent with no earlier indexed slice is absent
+                        parents += [ids[s] for s in reads if ids[s] is not None]
+                    node_at(ids[j])
+                    source_at(source)
+                elif body is not None:  # value variables get no copies
+                    copies.append(ids[j])
+                    parents.append(ids[n + j])
+                    tables.append(ids[j])
+                    bodies.append(body)
+                else:
+                    continue
+                ends.append(len(parents))
+            for j in indexed:
+                ids[n + j] = ids[j]
+        # Each node's kind is its variable's, but a copy's.
+        kind = list(map([_KINDS.index(v.kind) for v in variables].__getitem__, var))
+        for node in copies:
+            kind[node] = _KINDS.index(COPY)
+
+        names = [v.name for v in variables]
+        decisions = _order_decisions(decisions, var, at, names, parents, ends)
         if barren:
-            kept = _not_barren(did)
-            if len(kept) < len(did.nodes):
-                keep = tuple(k for k, n in enumerate(did.nodes) if n.id in kept)
-        return cls(shapes, keep)
+            parents_of = _split(parents, ends)
+            keep = _not_barren(dict(enumerate(parents_of)), utilities, decisions)
+            if len(keep) < len(var):
+                kept = sorted(keep)
+                new = dict(zip(kept, range(len(kept))))
+                var, at, kind, parents_of = (
+                    list(map(x.__getitem__, kept)) for x in (var, at, kind, parents_of)
+                )
+                parents = list(map(new.__getitem__, chain.from_iterable(parents_of)))
+                ends = list(accumulate(map(len, parents_of)))
+                tables, bodies = _cut(tables, bodies, new)
+                utilities, values = _cut(utilities, values, new)
+                decisions = [new[k] for k in decisions if k in new]
+        nodes = len(var)
+        packed = (
+            (var, n), (at, len(master)), (kind, len(_KINDS)), (parents, nodes),
+            (ends, len(parents) + 1), (tables, nodes),
+            (bodies, len(model.cpds) + len(copied)), (copied, n), (utilities, nodes),
+            (values, len(model.utilities)), (decisions, nodes),
+        )
+        return cls(shapes, *starmap(_packed, packed))
 
     def admits(self, model: CondensedTdid) -> bool:
         """Whether ``validate`` passes a model of this structure, which it
@@ -278,95 +443,60 @@ class _Plan(NamedTuple):
             _number_faults(t, *shape) for t, shape in zip(tables, self.shapes)
         )
 
+    def bind(self, model: CondensedTdid) -> DeployedDid:
+        """The deployed form of a valid model of this structure: its ids,
+        records and parent map built from the positions, with the model's
+        own names, indices, states and table bodies.  A node id is one
+        tuple shared by its record, its map key and its children's parent
+        tuples."""
+        variables = model.variables
+        names = [v.name for v in variables]
+        states = [v.states for v in variables]
+        base = list(map(names.__getitem__, self.var))
+        at = list(map(model.master.__getitem__, self.at))
+        ids = list(zip(base, at))
+        parents = _split(list(map(ids.__getitem__, self.parents)), self.ends)
+        id_of, parents_of = ids.__getitem__, parents.__getitem__
+        # The records' constructors without their Python-level ``__new__``.
+        new = partial(map, tuple.__new__)
+        nodes = new(
+            repeat(SliceNode),
+            zip(base, at, map(_KINDS.__getitem__, self.kind), map(states.__getitem__, self.var)),
+        )
+        bodies = [t.table for t in model.cpds]
+        bodies += [_identity(len(states[k])) for k in self.copied]
+        tables = new(
+            repeat(DeployedTable),
+            zip(
+                map(id_of, self.tables),
+                map(parents_of, self.tables),
+                map(bodies.__getitem__, self.bodies),
+            ),
+        )
+        values = [u.values for u in model.utilities]
+        utilities = new(
+            repeat(DeployedUtility),
+            zip(
+                map(id_of, self.utilities),
+                map(parents_of, self.utilities),
+                map(values.__getitem__, self.values),
+            ),
+        )
+        decisions = zip(map(id_of, self.decisions), map(parents_of, self.decisions))
+        # Each tuple is made from a list, at its exact size: one grown from
+        # an iterator is allocated at a guessed size and resized, and once
+        # freed it joins the interpreter's free list of its final size, so
+        # call after call the process's peak memory grows.
+        did = DeployedDid(
+            model.master, *(tuple(list(x)) for x in (nodes, tables, utilities, decisions))
+        )
+        return _seeded(did, dict(zip(ids, parents)))
 
-def _unroll(model: CondensedTdid) -> DeployedDid:
-    """The deployed form of a valid model, barren nodes included."""
-    nodes: list[SliceNode] = []
-    tables: list[DeployedTable] = []
-    utilities: list[DeployedUtility] = []
-    parents_of: dict[NodeId, tuple[NodeId, ...]] = {}
-    # Each (variable, role) parent's slot in ``ids``, which holds, per
-    # variable, its id at the slice being deployed (an instantaneous
-    # parent) and then its id at its most recent indexed slice strictly
-    # before it (a lag parent, and what a copy reads), None while it has
-    # none.
-    names = [v.name for v in model.variables]
-    slot = {}
-    for k, p in enumerate(names):
-        slot[p, INST] = k
-        slot[p, LAG] = len(names) + k
-    ids: list = [None] * len(slot)
-    slots = partial(map, slot.__getitem__)
 
-    # Nodes with a table of their own; every other indexed chance or value
-    # node takes its variable's stationary table.
-    explicit = {
-        (t.variable, t.time_index)
-        for t in model.cpds + model.utilities
-        if t.time_index is not None
-    }
-    # Per variable, what its nodes share: its indices, one identity-rows
-    # tuple for all its copies (if it has any), its stationary table, the
-    # slots of its parents, and its lag slot.  A decision's parents are the
-    # same at every index but the first (see ``parent_signature``); there no
-    # lag slot is filled, so its lag parents drop out below.
-    plan = []
-    for v in model.variables:
-        times = set(v.times)
-        ident = None
-        if len(times) < len(model.master):
-            k = range(len(v.states))
-            ident = tuple(tuple(float(c == r) for c in k) for r in k)
-        if v.kind == DECISION:
-            shared, parents = None, parent_signature(model, v.name, model.master[-1])
-        else:
-            shared = model.table_for(v.name, None)
-            parents = () if shared is None else shared.parents
-        lag = slot[v.name, LAG]
-        at = tuple(slots(parents))
-        plan.append((v.name, v.kind, v.states, times, ident, shared, at, lag))
-    # The records' constructors without their Python-level ``__new__``.
-    new = tuple.__new__
-    read = ids.__getitem__
-    for i in model.master:
-        here = [(name, i) for name in names]
-        ids[: len(names)] = here
-        # Once every variable has an earlier indexed slice, every slot is
-        # filled.
-        complete = None not in ids
-        indexed = []
-        for (name, kind, states, times, ident, t, at, lag), nid in zip(plan, here):
-            if i not in times:
-                if kind != VALUE:  # value variables get no copies
-                    nodes.append(new(SliceNode, (name, i, COPY, states)))
-                    parents = parents_of[nid] = (ids[lag],)
-                    tables.append(new(DeployedTable, (nid, parents, ident)))
-                continue
-            indexed.append((lag, nid))
-            nodes.append(new(SliceNode, (name, i, kind, states)))
-            if nid in explicit:
-                t = model.table_for(name, i)
-                at = tuple(slots(t.parents))
-            if complete:
-                parents = tuple(map(read, at))
-            else:  # a lag parent with no earlier indexed slice is absent
-                parents = tuple([ids[k] for k in at if ids[k] is not None])
-            parents_of[nid] = parents
-            if kind == CHANCE:
-                tables.append(new(DeployedTable, (nid, parents, t.table)))
-            elif kind == VALUE:
-                utilities.append(new(DeployedUtility, (nid, parents, t.values)))
-        for lag, nid in indexed:
-            ids[lag] = nid
-
-    did = DeployedDid(
-        model.master,
-        tuple(nodes),
-        tuple(tables),
-        tuple(utilities),
-        tuple((d, parents_of[d]) for d in _order_decisions(nodes, parents_of)),
-    )
-    return _seeded(did, parents_of)
+@cache
+def _identity(k: int) -> tuple[tuple[float, ...], ...]:
+    """A copy's rows: the identity over ``k`` states, built once per ``k``."""
+    return tuple(tuple(float(c == r) for c in range(k)) for r in range(k))
 
 
 def _seeded(did: DeployedDid, parents_of: dict) -> DeployedDid:
@@ -376,24 +506,47 @@ def _seeded(did: DeployedDid, parents_of: dict) -> DeployedDid:
     return did
 
 
-def _order_decisions(nodes, parents_of) -> list[NodeId]:
-    """Total order over decision nodes: by slice, then topologically within
-    a slice (a decision that can influence another — possibly through
-    intermediate chance nodes — acts first), then by name.  Name, not
-    declaration order, breaks ties so the order is stable under permuting
-    the model's variable declarations."""
-    decisions = sorted(
-        (n.id for n in nodes if n.kind == DECISION), key=lambda d: (d[1], d[0])
-    )
-    out: list[NodeId] = []
-    for i, group in groupby(decisions, key=lambda d: d[1]):
+def _split(parents: list, ends) -> list[tuple]:
+    """Each node's parents, from every node's one after another and each
+    node's end among them.  Each is sliced from the list and made a tuple
+    at its exact size (see ``_Plan.bind``): a tuple of every parent, sliced
+    instead, can have 20 items, and CPython 3.11 never reuses a freed tuple
+    of 20 items from its free list."""
+    return list(map(tuple, map(parents.__getitem__, map(slice, chain((0,), ends), ends))))
+
+
+def _cut(nodes, sources, new) -> tuple[list, list]:
+    """The (node, source) pairs whose node ``new`` renumbers, renumbered."""
+    kept = [(new[k], s) for k, s in zip(nodes, sources) if k in new]
+    return [k for k, _ in kept], [s for _, s in kept]
+
+
+def _order_decisions(decisions, var, at, names, parents, ends) -> list[int]:
+    """Total order over decision nodes, given by position: by slice, then
+    topologically within a slice (a decision that can influence another —
+    possibly through intermediate chance nodes — acts first), then by name.
+    Per node position, ``var`` and ``at`` give its variable's and its
+    slice's positions, and ``parents`` and ``ends`` its parents' positions
+    (see ``_split``).  Name, not declaration order, breaks ties so the
+    order is stable under permuting the model's variable declarations."""
+    decisions = sorted(decisions, key=lambda d: (at[d], names[var[d]]))
+    out: list[int] = []
+    for i, group in groupby(decisions, key=at.__getitem__):
         waiting = list(group)
         if len(waiting) == 1:
             out.extend(waiting)
             continue
         # Only same-slice paths can order two decisions of one slice: lag and
         # copy arcs run strictly forward in time, so walk instantaneous arcs.
-        anc = {d: _ancestors(parents_of, (d,), i) - {d} for d in waiting}
+        # A slice's nodes are consecutive, so a parent in it is one at or
+        # after its first node.
+        first = at.index(i)
+        parents_of = _split(parents, ends)
+        within = {
+            k: [p for p in parents_of[k] if p >= first]
+            for k in range(first, max(waiting) + 1)
+        }
+        anc = {d: _ancestors(within, (d,)) - {d} for d in waiting}
         while waiting:
             # Kahn step: take the first decision (by name) no other waiting
             # decision can influence.  Instantaneous arcs are acyclic, so
@@ -417,15 +570,15 @@ def eliminate_barren(did: DeployedDid) -> DeployedDid:
     run forward, so a decision after D* reaches only nodes that are
     stripped too.  The maximum expected utility is unchanged.
     """
-    return _restrict(did, _not_barren(did))
+    return _restrict(did, _not_barren(did.parents_of, did.value_nodes, did.decision_order))
 
 
-def _not_barren(did: DeployedDid) -> set[NodeId]:
-    """The ids of the nodes ``eliminate_barren`` keeps."""
-    order = did.decision_order
-    keep = _ancestors(did.parents_of, did.value_nodes)
+def _not_barren(parents_of, value_nodes, order) -> set:
+    """The nodes ``eliminate_barren`` keeps, given every node's parents,
+    the value nodes and the decisions in decision order."""
+    keep = _ancestors(parents_of, value_nodes)
     cut = max((k + 1 for k, d in enumerate(order) if d in keep), default=0)
-    _ancestors(did.parents_of, order[:cut], out=keep)
+    _ancestors(parents_of, order[:cut], out=keep)
     return keep
 
 

@@ -167,12 +167,12 @@ class CondensedTdid:
         )
 
     @cached_property
-    def _cpd_index(self) -> dict[tuple[str, int | None], TabularCpd]:
-        return _table_index(self.cpds)
+    def _cpd_positions(self) -> dict[tuple[str, int | None], int]:
+        return _table_positions(self.cpds)
 
     @cached_property
-    def _utility_index(self) -> dict[tuple[str, int | None], UtilityTable]:
-        return _table_index(self.utilities)
+    def _utility_positions(self) -> dict[tuple[str, int | None], int]:
+        return _table_positions(self.utilities)
 
     def table_for(
         self, name: str, i: int | None
@@ -183,20 +183,25 @@ class CondensedTdid:
         table applies (``i=None`` asks for it alone).  Returns None when
         neither exists.
         """
-        kind = self.variable(name).kind
-        index = self._utility_index if kind == VALUE else self._cpd_index
-        table = index.get((name, i))
-        return table if table is not None else index.get((name, None))
+        if self.variable(name).kind == VALUE:
+            pool, index = self.utilities, self._utility_positions
+        else:
+            pool, index = self.cpds, self._cpd_positions
+        k = index.get((name, i))
+        if k is None:
+            k = index.get((name, None))
+        return None if k is None else pool[k]
 
 
-def _table_index(pool) -> dict:
-    """(variable, time_index) -> table, keeping the first explicit table at
-    each index and the last stationary one, as a scan of the pool would."""
+def _table_positions(pool) -> dict:
+    """(variable, time_index) -> the position in ``pool`` of the table for
+    it, keeping the first explicit table at each index and the last
+    stationary one, as a scan of the pool would."""
     index = {}
-    for t in pool:
+    for k, t in enumerate(pool):
         key = (t.variable, t.time_index)
         if t.time_index is None or key not in index:
-            index[key] = t
+            index[key] = k
     return index
 
 
@@ -451,18 +456,16 @@ def _inst_cycle(model: CondensedTdid) -> list[str] | None:
     return None
 
 
-def _ancestors(parents_of, roots, within=None, out=None) -> set:
+def _ancestors(parents_of, roots, out=None) -> set:
     """The roots and every node with a directed path to one of them, where
-    ``parents_of`` maps a node to its parents.  With ``within``, nodes are
-    (name, slice) pairs and only paths that stay in that slice count.
-    ``out``, if given, is an earlier result: it grows in place, and its
-    nodes are not walked again."""
+    ``parents_of`` maps a node to its parents.  ``out``, if given, is an
+    earlier result: it grows in place, and its nodes are not walked again."""
     out = set() if out is None else out
     stack = [r for r in dict.fromkeys(roots) if r not in out]
     out.update(stack)
     while stack:
         for p in parents_of.get(stack.pop(), ()):
-            if p not in out and (within is None or p[1] == within):
+            if p not in out:
                 out.add(p)
                 stack.append(p)
     return out

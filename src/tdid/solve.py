@@ -15,16 +15,19 @@ entries keyed on different decision histories cover disjoint worlds, and
 is exact, signaling included.  ``solve`` searches that expression in one
 forward pass over a static plan (``_Plan``), whose skeleton depends on the
 diagram's structure alone and is built once per structure (``_skeletons``),
-with the diagram's tables bound to it per call.  The frontier is the joint of
-the chance variables some later step reads; at a decision the search
-enumerates rules over the observed states with nonzero mass and branches
-on each option a rule uses, with the decision fixed.  Branches that share
-a decision history run as one batch: the frontier carries a leading axis
-over them, so each step is one einsum for the whole batch.  The last
-decision needs no enumeration: its utility-to-go is one backward pass,
-cached by the decision values the tail reads.  ``evaluate_policy`` runs
-the same pass with the policy's own rule as the only candidate, on the
-plan ``solve`` built when given the diagram ``solve`` last solved.
+with the diagram's tables bound to it per call: one read-only array per
+distinct body object and layout, so the slices of a stationary table share
+one.  The frontier is the joint of the chance variables some later step
+reads; at a decision the search enumerates rules over the observed states
+with nonzero mass and branches on each option a rule uses, with the
+decision fixed.  Branches that share a decision history run as one batch:
+the frontier carries a leading axis over them, so each step is one einsum
+for the whole batch, a direct call of numpy's ``c_einsum`` kernel
+(``_einsum``).  The last decision needs no enumeration: its utility-to-go
+is one backward pass, cached by the decision values the tail reads.
+``evaluate_policy`` runs the same pass with the policy's own rule as the
+only candidate, on the plan ``solve`` built when given the diagram
+``solve`` last solved.
 
 ``brute_force`` is an independent oracle: it enumerates every
 deterministic policy in lexicographic order and evaluates each against
@@ -46,6 +49,18 @@ import numpy as np
 from ._memo import remember
 from .deploy import DeployedDid, NodeId, node_name
 from .model import DECISION, VALUE, ModelError, _ancestors
+
+# numpy's einsum kernel, called without ``np.einsum``'s Python layer: the
+# same C function with the same arithmetic, minus the dispatch.  It lives in
+# ``numpy._core`` from numpy 2 on and in ``numpy.core`` before; where
+# neither has it, ``np.einsum`` itself.
+try:
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:
+    try:
+        from numpy.core.multiarray import c_einsum as _einsum
+    except ImportError:
+        _einsum = np.einsum
 
 __all__ = [
     "SolveError",
@@ -70,8 +85,9 @@ ORACLE_CAP = 10**6
 # The solver refuses, before allocating, a diagram whose largest batch of
 # frontiers (the cells one step's einsum loops over) or whose bound on
 # search branches exceeds these.  Cardiac at T=8 needs 69,984 cells (2,187
-# frontiers of 32) and 335,922 branches, about 0.9 s on a 2-vCPU VM; its
-# 2,015,538 branches at T=9 are refused.  ``brute_force`` refuses a dense
+# frontiers of 32) and 335,922 branches, about 0.9 s on a shared 2-vCPU VM
+# (0.84 to 1.17 s, best of five solves, over five runs); its 2,015,538
+# branches at T=9 are refused.  ``brute_force`` refuses a dense
 # joint of more than FRONTIER_CAP cells too.
 FRONTIER_CAP = 2**22
 SEARCH_CAP = 10**6
@@ -247,10 +263,12 @@ class _Table:
     decision axes it moves first, so that fixing the decisions of a
     history is one basic index.  The array is bound per diagram, from
     position ``source`` of ``did.utilities`` (``utility``) or of
-    ``did.tables``, into the plan's ``arrays[slot]``."""
+    ``did.tables``, into the plan's ``arrays[slot]``; tables that share a
+    body and a ``layout`` (shape and axis order) share one array."""
 
     __slots__ = (
-        "slot", "source", "utility", "shape", "axes", "picks", "scope", "_pick",
+        "slot", "source", "utility", "shape", "axes", "layout", "picks", "scope",
+        "_pick",
     )
 
     def __init__(self, slot, source, parents, node, dpos, domains):
@@ -268,11 +286,14 @@ class _Table:
             self.axes = front + back
             axes = tuple(axes[i] for i in back)
         self.scope = axes
+        self.layout = (tuple(self.shape), self.axes and tuple(self.axes))
 
     def bind(self, flat) -> np.ndarray:
+        """The body as this table's read-only array."""
         array = np.array(flat, float).reshape(self.shape)
         if self.axes:
             array = np.ascontiguousarray(array.transpose(self.axes))
+        array.flags.writeable = False
         return array
 
     def at(self, arrays, hist) -> np.ndarray:
@@ -528,11 +549,19 @@ class _Plan:
         self.last = skeleton.last
         utilities = did.utilities
         self.const = sum(float(utilities[k].values[0]) for k in skeleton.constant)
+        # One array per body and layout: slices of a stationary table share
+        # its body.  Bodies are told apart by identity (-0.0 == 0.0), and
+        # the diagram holds each one for the whole call.
         tables = did.tables
-        self.arrays = [
-            t.bind(utilities[t.source].values if t.utility else tables[t.source].rows)
-            for t in skeleton.tables
-        ]
+        bound: dict = {}
+        self.arrays = []
+        for t in skeleton.tables:
+            body = utilities[t.source].values if t.utility else tables[t.source].rows
+            key = (id(body), t.layout)
+            array = bound.get(key)
+            if array is None:
+                array = bound[key] = t.bind(body)
+            self.arrays.append(array)
         self.tail = skeleton.tail
         self.to_go_reads = skeleton.to_go_reads
         self.to_go: dict = {}
@@ -569,8 +598,8 @@ class _Plan:
                 return eu + v, trees
             table = step.table.at(self.arrays, hist)
             for u, spec in step.values:
-                eu += np.einsum(spec, f, table, u.at(self.arrays, hist))
-            f = np.einsum(step.spec, f, table)
+                eu += _einsum(spec, f, table, u.at(self.arrays, hist))
+            f = _einsum(step.spec, f, table)
             s += 1
         if s == len(steps):
             return eu, [None] * len(f)
@@ -583,7 +612,7 @@ class _Plan:
         within _TIE of the best.  The branches of every row that take one
         option share the extended history, so they run on as one batch."""
         base = sum(hist[j] * st for j, st in step.dec_obs)
-        mass = np.einsum(step.marginal, f).reshape(len(f), -1) > 0
+        mass = _einsum(step.marginal, f).reshape(len(f), -1) > 0
         groups: dict[tuple, list[int]] = {}  # live states -> rows
         for z, nonzero in enumerate(mass.tolist()):
             live = tuple(o for o, m in enumerate(nonzero) if m)
@@ -614,11 +643,10 @@ class _Plan:
                 for a, sels in enumerate(sets)
             ]
             zero = np.zeros(n)
-            totals = np.stack(
-                [sum((blocks[a][:, i] for a, i in br), zero) for _, br in candidates],
-                axis=1,
-            )
-            top = totals.max(axis=1, keepdims=True)
+            totals = np.array(
+                [sum((blocks[a][:, i] for a, i in br), zero) for _, br in candidates]
+            ).T
+            top = np.maximum.reduce(totals, axis=1, keepdims=True)
             best = (totals >= top - _TIE * abs(top)).argmax(axis=1)
             eu[zs] = totals[np.arange(n), best]
             entries = [base + step.offsets[o] for o in live]
@@ -663,10 +691,10 @@ class _Plan:
         rows = [i for i, (_, sel) in enumerate(items) for _ in sel]
         mask[rows, [o for _, sel in items for o in sel]] = 1.0
         mask = mask.reshape((len(items),) + step.shape)
-        f = np.einsum(step.restrict, f[[z for z, _ in items]], mask)
+        f = _einsum(step.restrict, f[[z for z, _ in items]], mask)
         eu = np.zeros(len(items))
         for u, spec in step.values:
-            eu += np.einsum(spec, f, u.at(self.arrays, hist))
+            eu += _einsum(spec, f, u.at(self.arrays, hist))
         rest, trees = self._forward(s + 1, f, hist, rules)
         return eu + rest, trees
 
@@ -674,10 +702,10 @@ class _Plan:
         """Best option per row and observed state from the cached
         utility-to-go."""
         base = sum(hist[j] * st for j, st in step.dec_obs)
-        table = np.einsum(step.to_go, f, self._utility_to_go(step, hist))
+        table = _einsum(step.to_go, f, self._utility_to_go(step, hist))
         table = table.reshape(len(f), step.options, -1)
         if rules is None:  # the lowest option within _TIE of the best
-            top = table.max(axis=1, keepdims=True)
+            top = np.maximum.reduce(table, axis=1, keepdims=True)
             choice = (table >= top - _TIE * abs(top)).argmax(axis=1)
         else:
             rule = rules[step.j]
@@ -700,7 +728,7 @@ class _Plan:
                     parts = [g] + [u.at(self.arrays, h) for u, _ in step.values]
                     g = sum(p.transpose(o)[i] for p, (o, i) in zip(parts, aligned))
                     if spec is not None:
-                        g = np.einsum(spec, step.table.at(self.arrays, h), g)
+                        g = _einsum(spec, step.table.at(self.arrays, h), g)
                 per_option.append(g)
             stacked = self.to_go[key] = np.stack(per_option)
         return stacked
@@ -834,8 +862,9 @@ def _check_policy(did: DeployedDid, policy: Policy) -> None:
                 f"policy for {node_name(r.node)} has {len(r.choices)} entries, "
                 f"needs {n}"
             )
+        # An option is an index: 1.0 == 1, but no list takes it as one.
         k = len(did.states(r.node))
-        if any(not 0 <= c < k for c in r.choices):
+        if not all(hasattr(c, "__index__") and 0 <= c < k for c in r.choices):
             raise SolveError(f"policy for {node_name(r.node)} picks an unknown option")
 
 

@@ -1208,3 +1208,36 @@ def test_structural_modules_do_not_import_numpy():
         timeout=60,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+# --- plans record table bodies by position ------------------------------------
+
+
+def test_a_body_shared_by_two_tables_deploys_as_two_equal_bodies(plans):
+    # cr's and cbf's stationary CPTs have the same shape; one model hands
+    # both the same rows object.  A plan that told sources apart by body
+    # would give every later model of the structure cr's rows for cbf.
+    m = parse(cardiac_text(3))
+    cr, cbf = m.cpds[1], m.cpds[2]
+    assert (cr.variable, cbf.variable) == ("cr", "cbf")
+
+    def with_cbf_rows(rows):
+        cpds = m.cpds[:2] + (dataclasses.replace(cbf, table=rows),) + m.cpds[3:]
+        return dataclasses.replace(m, cpds=cpds)
+
+    shared = with_cbf_rows(cr.table)
+    separate = with_cbf_rows(tuple(tuple(list(r)) for r in cr.table))
+    assert separate.cpds[2].table is not cr.table
+    own = m  # the same structure, cbf with rows of its own
+    for barren in (True, False):
+        for order in ((shared, separate, own), (own, separate, shared)):
+            plans.clear()
+            dids = [deploy(x, barren=barren) for x in order]
+            assert len(plans) == 1
+            for x, did in zip(order, dids):
+                for slice_ in (2, 3):
+                    for t in x.cpds[1:3]:
+                        got = did.table_by_node[(t.variable, slice_)].rows
+                        assert got is t.table
+            texts = {id(x): serialize_deployed(d) for x, d in zip(order, dids)}
+            assert texts[id(shared)] == texts[id(separate)] != texts[id(own)]

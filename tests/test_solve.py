@@ -3,6 +3,10 @@
 import dataclasses
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -968,3 +972,90 @@ def test_solved_cardiac_policies_are_locally_optimal_past_the_oracle(horizon):
 def test_solved_multi_state_policies_are_locally_optimal():
     for m, did in _multi_state():
         assert _certified(did), serialize(m)
+
+
+# --- binding per body, and the einsum kernel ----------------------------------
+
+
+def test_a_choice_that_is_no_index_is_refused():
+    did = deploy(parse(ONE_DECISION))
+    for choice in (1.5, 1.0):
+        bad = Policy((DecisionRule(("D", 1), (), (choice,)),), 0.0)
+        with pytest.raises(SolveError, match="^policy for D@1 picks an unknown option$"):
+            evaluate_policy(did, bad)
+        with pytest.raises(SolveError, match="^policy for D@1 picks an unknown option$"):
+            policies_agree(did, bad, bad)
+    # numpy integers are indices.
+    good = Policy((DecisionRule(("D", 1), (), (np.int64(1),)),), 0.0)
+    assert evaluate_policy(did, good) == pytest.approx(5.0, abs=1e-9)
+
+
+def test_the_direct_kernel_gives_bitwise_what_np_einsum_gives(monkeypatch):
+    import tdid.solve
+
+    dids = [deploy(cardiac(h)) for h in range(1, 7)] + [did for _, did in _multi_state()]
+
+    def solved():
+        out = []
+        for did in dids:
+            p = solve(did)
+            out.append(repr((p, evaluate_policy(did, p))))
+        return out
+
+    direct = solved()
+    monkeypatch.setattr(tdid.solve, "_einsum", np.einsum)
+    assert solved() == direct
+
+
+def test_importing_the_solver_raises_no_deprecation_warning():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::DeprecationWarning", "-c", "import tdid.solve"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def _steps_by_node(plan, did):
+    """Each chance step's node with its bound array."""
+    return {
+        did.tables[s.table.source].node: plan.arrays[s.table.slot]
+        for s in plan.steps
+        if not s.decision
+    }
+
+
+def test_stationary_slices_share_one_read_only_array():
+    did = deploy(cardiac(3))
+    assert len(did.tables) + len(did.utilities) == 18
+    plan = _Plan(did)
+    assert len({id(a) for a in plan.arrays}) < 18
+    assert not any(a.flags.writeable for a in plan.arrays)
+    arrays = _steps_by_node(plan, did)
+    assert arrays[("cr", 2)] is arrays[("cr", 3)]
+
+
+def test_one_body_under_two_layouts_binds_two_arrays():
+    # cbf@2 reads a decision, so its array moves that axis first; poa@2
+    # reads none.  Given one body object, each still gets its own layout.
+    did = deploy(cardiac(3))
+    cbf = did.table_by_node[("cbf", 2)]
+    shared = dataclasses.replace(
+        did,
+        tables=tuple(
+            t._replace(rows=cbf.rows) if t.node == ("poa", 2) else t for t in did.tables
+        ),
+    )
+    plan = _Plan(shared)
+    arrays = _steps_by_node(plan, shared)
+    a, b = arrays[("cbf", 2)], arrays[("poa", 2)]
+    assert a is not b
+    want = np.array(cbf.rows).reshape(2, 2, 2)
+    assert np.array_equal(b, want)
+    assert np.array_equal(a, want.transpose(1, 0, 2))
+    # Other tables of the same layout and body still share one.
+    assert arrays[("cbf", 3)] is a
