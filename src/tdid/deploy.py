@@ -40,10 +40,12 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
-from itertools import accumulate, chain, count, groupby, repeat, starmap
+from itertools import accumulate, chain, compress, count, groupby, repeat, starmap
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -57,8 +59,8 @@ from .model import (
     CondensedTdid,
     ModelError,
     _ancestors,
-    _check_sequence,
     _number_faults,
+    _sequence_faults,
     parent_signature,
     validate,
 )
@@ -293,35 +295,39 @@ class _Plan(NamedTuple):
         which a hand-built model can share between tables."""
         variables, master = model.variables, model.master
         n = len(variables)
-        size = {v.name: len(v.states) for v in variables}.__getitem__
-        shapes = tuple([
-            (math.prod(map(size, map(itemgetter(0), t.parents))), size(t.variable))
-            for t in model.cpds + model.utilities
-        ])
+        names = [v.name for v in variables]
+        # A valid model's tables have the sizes its structure gives them: a
+        # CPT a row per joint parent state, each with an entry per state,
+        # and a utility a value per joint parent state (a value variable
+        # has no states).
+        shapes = tuple(
+            [(len(t.table), len(t.table[0])) for t in model.cpds]
+            + [(len(u.values), 0) for u in model.utilities]
+        )
         # Each (variable, role) parent's slot in ``ids``, which holds, per
         # variable, the position of its node at the slice being deployed (an
         # instantaneous parent) and then that of its node at its most recent
         # indexed slice strictly before it (a lag parent, and what a copy
         # reads), None while it has none.
         slot = {}
-        for j, v in enumerate(variables):
-            slot[v.name, INST] = j
-            slot[v.name, LAG] = n + j
+        for j, name in enumerate(names):
+            slot[name, INST] = j
+            slot[name, LAG] = n + j
         slots = partial(map, slot.__getitem__)
         ids = [None] * (2 * n)
         # Per variable, its explicit tables: by index, the table's position
         # and parent slots.  Every other indexed chance or value node takes
         # its variable's stationary table.
-        explicit: dict = {v.name: {} for v in variables}
+        explicit: dict = {}
         for pool, index in (
             (model.cpds, model._cpd_positions),
             (model.utilities, model._utility_positions),
         ):
             for (name, i), k in index.items():
                 if i is not None:
-                    explicit[name][i] = k, tuple(slots(pool[k].parents))
+                    explicit.setdefault(name, {})[i] = k, tuple(slots(pool[k].parents))
 
-        var, at, parents, ends, copies, copied = [], [], [], [], [], []
+        var, at, parents_of, copies, copied = [], [], [], [], []
         tables, bodies, utilities, values, decisions = [], [], [], [], []
         add = {
             CHANCE: (tables.append, bodies.append),
@@ -353,13 +359,13 @@ class _Plan(NamedTuple):
                 shared = index.get((v.name, None))
                 reads = () if shared is None else pool[shared].parents
             per_var.append(
-                (times, explicit[v.name], shared, tuple(slots(reads)), body, *add[v.kind])
+                (j, times, explicit.get(v.name), shared, tuple(slots(reads)), body, *add[v.kind])
             )
             valued.append(times if v.kind == VALUE else None)
         # The indices where every variable has a node.
         full = set(master).intersection(*(t for t in valued if t is not None))
 
-        read = ids.__getitem__
+        read, add_parents = ids.__getitem__, parents_of.append
         complete = False
         for m, i in enumerate(master):
             # The variables with a node here, and their nodes' positions.
@@ -377,52 +383,54 @@ class _Plan(NamedTuple):
             # is filled.
             complete = complete or None not in ids[n:]
             indexed = []
-            for j, (times, own, source, reads, body, node_at, source_at) in enumerate(per_var):
+            for j, times, own, source, reads, body, node_at, source_at in per_var:
                 if i in times:
                     indexed.append(j)
                     if own:
                         source, reads = own.get(i, (source, reads))
                     if complete:
-                        parents += map(read, reads)
+                        add_parents(list(map(read, reads)))
                     else:  # a lag parent with no earlier indexed slice is absent
-                        parents += [ids[s] for s in reads if ids[s] is not None]
+                        add_parents([ids[s] for s in reads if ids[s] is not None])
                     node_at(ids[j])
                     source_at(source)
                 elif body is not None:  # value variables get no copies
                     copies.append(ids[j])
-                    parents.append(ids[n + j])
+                    add_parents([ids[n + j]])
                     tables.append(ids[j])
                     bodies.append(body)
-                else:
-                    continue
-                ends.append(len(parents))
-            for j in indexed:
-                ids[n + j] = ids[j]
+            if len(indexed) == n:
+                ids[n:] = ids[:n]
+            else:
+                for j in indexed:
+                    ids[n + j] = ids[j]
         # Each node's kind is its variable's, but a copy's.
         kind = list(map([_KINDS.index(v.kind) for v in variables].__getitem__, var))
         for node in copies:
             kind[node] = _KINDS.index(COPY)
 
-        names = [v.name for v in variables]
-        decisions = _order_decisions(decisions, var, at, names, parents, ends)
+        decisions = _order_decisions(decisions, var, at, names, parents_of)
         if barren:
-            parents_of = _split(parents, ends)
             keep = _not_barren(dict(enumerate(parents_of)), utilities, decisions)
             if len(keep) < len(var):
-                kept = sorted(keep)
-                new = dict(zip(kept, range(len(kept))))
+                # The kept nodes, renumbered in order, and what is theirs.
+                positions = range(len(var))
                 var, at, kind, parents_of = (
-                    list(map(x.__getitem__, kept)) for x in (var, at, kind, parents_of)
+                    list(_kept(keep, x, positions)) for x in (var, at, kind, parents_of)
                 )
-                parents = list(map(new.__getitem__, chain.from_iterable(parents_of)))
-                ends = list(accumulate(map(len, parents_of)))
-                tables, bodies = _cut(tables, bodies, new)
-                utilities, values = _cut(utilities, values, new)
-                decisions = [new[k] for k in decisions if k in new]
+                new = dict(zip(_kept(keep, positions, positions), count()))
+                parents_of = [list(map(new.__getitem__, ps)) for ps in parents_of]
+                bodies = list(_kept(new, bodies, tables))
+                values = list(_kept(new, values, utilities))
+                tables, utilities, decisions = (
+                    list(map(new.__getitem__, _kept(new, x, x)))
+                    for x in (tables, utilities, decisions)
+                )
+        ends = list(accumulate(map(len, parents_of)))
         nodes = len(var)
         packed = (
-            (var, n), (at, len(master)), (kind, len(_KINDS)), (parents, nodes),
-            (ends, len(parents) + 1), (tables, nodes),
+            (var, n), (at, len(master)), (kind, len(_KINDS)),
+            (chain.from_iterable(parents_of), nodes), (ends, ends[-1] + 1), (tables, nodes),
             (bodies, len(model.cpds) + len(copied)), (copied, n), (utilities, nodes),
             (values, len(model.utilities)), (decisions, nodes),
         )
@@ -433,10 +441,10 @@ class _Plan(NamedTuple):
         has passed: an equal structure can still hold an index that is not
         an int (1.0 == 1) or faulty numbers."""
         master = model.master
-        if _check_sequence("", master):
+        if _sequence_faults(master):
             return False
         for v in model.variables:
-            if v.times is not master and _check_sequence("", v.times):
+            if v.times is not master and _sequence_faults(v.times):
                 return False
         tables = model.cpds + model.utilities
         return not any(
@@ -488,7 +496,11 @@ class _Plan(NamedTuple):
         # freed it joins the interpreter's free list of its final size, so
         # call after call the process's peak memory grows.
         did = DeployedDid(
-            model.master, *(tuple(list(x)) for x in (nodes, tables, utilities, decisions))
+            model.master,
+            tuple(list(nodes)),
+            tuple(list(tables)),
+            tuple(list(utilities)),
+            tuple(list(decisions)),
         )
         return _seeded(did, dict(zip(ids, parents)))
 
@@ -515,37 +527,31 @@ def _split(parents: list, ends) -> list[tuple]:
     return list(map(tuple, map(parents.__getitem__, map(slice, chain((0,), ends), ends))))
 
 
-def _cut(nodes, sources, new) -> tuple[list, list]:
-    """The (node, source) pairs whose node ``new`` renumbers, renumbered."""
-    kept = [(new[k], s) for k, s in zip(nodes, sources) if k in new]
-    return [k for k, _ in kept], [s for _, s in kept]
-
-
-def _order_decisions(decisions, var, at, names, parents, ends) -> list[int]:
-    """Total order over decision nodes, given by position: by slice, then
-    topologically within a slice (a decision that can influence another —
-    possibly through intermediate chance nodes — acts first), then by name.
-    Per node position, ``var`` and ``at`` give its variable's and its
-    slice's positions, and ``parents`` and ``ends`` its parents' positions
-    (see ``_split``).  Name, not declaration order, breaks ties so the
-    order is stable under permuting the model's variable declarations."""
-    decisions = sorted(decisions, key=lambda d: (at[d], names[var[d]]))
+def _order_decisions(decisions, var, at, names, parents_of) -> list[int]:
+    """Total order over decision nodes, given by position in slice order:
+    by slice, then topologically within a slice (a decision that can
+    influence another — possibly through intermediate chance nodes — acts
+    first), then by name.  Per node position, ``var`` and ``at`` give its
+    variable's and its slice's positions, and ``parents_of`` its parents'
+    positions.  Name, not declaration order, breaks ties so the order is
+    stable under permuting the model's variable declarations."""
+    if len(set(map(at.__getitem__, decisions))) == len(decisions):
+        return decisions  # at most one decision per slice
     out: list[int] = []
     for i, group in groupby(decisions, key=at.__getitem__):
         waiting = list(group)
         if len(waiting) == 1:
             out.extend(waiting)
             continue
+        waiting.sort(key=lambda d: names[var[d]])
         # Only same-slice paths can order two decisions of one slice: lag and
         # copy arcs run strictly forward in time, so walk instantaneous arcs.
-        # A slice's nodes are consecutive, so a parent in it is one at or
-        # after its first node.
-        first = at.index(i)
-        parents_of = _split(parents, ends)
-        within = {
-            k: [p for p in parents_of[k] if p >= first]
-            for k in range(first, max(waiting) + 1)
-        }
+        # A slice's nodes are consecutive, ``first`` up to ``end``, so a
+        # parent in it is one at or after its first node.  Every node of
+        # the slice is walked: one declared after both decisions can still
+        # lie on a path between them.
+        first, end = bisect_left(at, i), bisect_right(at, i)
+        within = {k: [p for p in parents_of[k] if p >= first] for k in range(first, end)}
         anc = {d: _ancestors(within, (d,)) - {d} for d in waiting}
         while waiting:
             # Kahn step: take the first decision (by name) no other waiting
@@ -588,14 +594,25 @@ def _restrict(did: DeployedDid, keep: set[NodeId]) -> DeployedDid:
     parents_of = did.parents_of
     if keep.issuperset(parents_of):
         return did
+
+    def kept(records, node=itemgetter(0)):
+        return tuple(_kept(keep, records, map(node, records)))
+
     out = DeployedDid(
         did.slices,
-        tuple(n for n in did.nodes if n.id in keep),
-        tuple(t for t in did.tables if t.node in keep),
-        tuple(u for u in did.utilities if u.node in keep),
-        tuple(d for d in did.decisions if d[0] in keep),
+        kept(did.nodes, SliceNode.id.fget),
+        kept(did.tables),
+        kept(did.utilities),
+        kept(did.decisions),
     )
-    return _seeded(out, {n: ps for n, ps in parents_of.items() if n in keep})
+    return _seeded(out, dict(_kept(keep, parents_of.items(), parents_of)))
+
+
+def _kept(keep, records, nodes) -> Iterator:
+    """The ``records`` whose node, given in ``nodes`` in the same order, is
+    in ``keep``: the one filter of barren removal, on node ids
+    (``_restrict``) and on node positions (``_Plan.of``)."""
+    return compress(records, map(keep.__contains__, nodes))
 
 
 def _copy_sources(did: DeployedDid, index) -> dict[NodeId, NodeId]:

@@ -24,7 +24,9 @@ import os
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import groupby
+from itertools import chain, repeat
+from math import isfinite
+from operator import le
 
 __all__ = [
     "CHANCE",
@@ -217,9 +219,11 @@ def parent_signature(
     sequence starts at ``master[0]``, as ``validate`` requires, the signature
     is therefore the same at every index but the first.
     """
-    sig = [(a.src, INST) for a in model.arcs_into(name, INST)]
-    for a in model.arcs_into(name, LAG):
-        if model.has_variable(a.src) and model.variable(a.src).times[0] < i:
+    arcs = model._arcs_by_dst.get(name, ())
+    by_name = model._by_name
+    sig = [(a.src, INST) for a in arcs if a.kind == INST]
+    for a in arcs:
+        if a.kind == LAG and a.src in by_name and by_name[a.src].times[0] < i:
             sig.append((a.src, LAG))
     return tuple(sig)
 
@@ -236,8 +240,9 @@ def validate(model: CondensedTdid) -> list[str]:
     is flagged rather than silently renormalized.
     """
     out: list[str] = []
-    out.extend(_check_sequence("master sequence", model.master))
+    _add_faults(out, "master sequence", _sequence_faults(model.master))
     master_ok = not out
+    master = set(model.master) if master_ok else None
     names_seen: set[str] = set()
 
     for v in model.variables:
@@ -258,9 +263,13 @@ def validate(model: CondensedTdid) -> list[str]:
                 out.append(f"{where}: needs at least 2 states, has {len(v.states)}")
             if len(set(v.states)) != len(v.states):
                 out.append(f"{where}: duplicate state labels")
-        out.extend(_check_sequence(f"{where} times", v.times))
+        if master_ok and v.times is model.master:
+            continue  # the master's own checks cover it
+        faults = _sequence_faults(v.times)
+        if faults:
+            _add_faults(out, f"{where} times", faults)
         if master_ok and v.times:
-            if not set(v.times) <= set(model.master):
+            if not master.issuperset(v.times):
                 out.append(f"{where}: times not a subset of the master sequence")
             elif v.times[0] != model.master[0]:
                 out.append(
@@ -272,17 +281,20 @@ def validate(model: CondensedTdid) -> list[str]:
 
     arc_triples: set[tuple[str, str, str]] = set()
     for a in model.arcs:
-        where = f"arc {a.kind} {a.src} {a.dst}"
+        triple = (a.src, a.dst, a.kind)
+        faults = []
         if a.kind not in (INST, LAG):
-            out.append(f"{where}: unknown arc kind")
+            faults.append("unknown arc kind")
         for end in (a.src, a.dst):
             if end not in names_seen:
-                out.append(f"{where}: undeclared variable {end!r}")
-        if (a.src, a.dst, a.kind) in arc_triples:
-            out.append(f"{where}: duplicate arc")
-        arc_triples.add((a.src, a.dst, a.kind))
-        if a.src in names_seen and model.variable(a.src).kind == VALUE:
-            out.append(f"{where}: value variables have no outgoing arcs")
+                faults.append(f"undeclared variable {end!r}")
+        if triple in arc_triples:
+            faults.append("duplicate arc")
+        arc_triples.add(triple)
+        if a.src in names_seen and model._by_name[a.src].kind == VALUE:
+            faults.append("value variables have no outgoing arcs")
+        if faults:
+            _add_faults(out, f"arc {a.kind} {a.src} {a.dst}", faults)
 
     cycle = _inst_cycle(model) if structure_ok else None
     if cycle:
@@ -297,28 +309,38 @@ def validate(model: CondensedTdid) -> list[str]:
     if not structure_ok:
         return out  # table checks below assume sound structure
 
-    covered: dict[tuple[str, int | None], int] = {}
-    times = {v.name: frozenset(v.times) for v in model.variables}
-    for cpd in model.cpds:
-        out.extend(_check_table(model, cpd, covered, times))
-    for util in model.utilities:
-        out.extend(_check_table(model, util, covered, times))
+    covered: dict[str, set] = {}
+    times: dict[str, frozenset] = {}
+    for t in chain(model.cpds, model.utilities):
+        faults = _table_faults(model, t, covered, times)
+        if faults:
+            _add_faults(out, _table_name(t), faults)
 
     # Coverage: every indexed node needs exactly one applicable table.
     for v in model.variables:
         if v.kind == DECISION:
             continue
         label = "cpd" if v.kind == CHANCE else "utility"
-        uncovered = [i for i in v.times if (v.name, i) not in covered]
-        if (v.name, None) not in covered:
+        own = covered.get(v.name, ())
+        uncovered = [i for i in v.times if i not in own]
+        if None not in own:
             out.extend(f"{v.name}: no {label} covers index {i}" for i in uncovered)
             continue
-        # Fit the stationary table to each parent set once (see parent_signature).
-        for _, same in groupby(uncovered, key=lambda i: i == v.times[0]):
-            same = list(same)
-            t = model.table_for(v.name, same[0])
+        if not uncovered:
+            continue
+        # Fit the stationary table to each parent set once (see
+        # parent_signature): the first index's, then every later one's.
+        if v.kind == CHANCE:
+            t = model.cpds[model._cpd_positions[v.name, None]]
+        else:
+            t = model.utilities[model._utility_positions[v.name, None]]
+        have = sorted(t.parents)
+        head = 1 if uncovered[0] == v.times[0] else 0
+        for same in (uncovered[:head], uncovered[head:]):
+            if not same:
+                continue
             want = parent_signature(model, v.name, same[0])
-            if sorted(t.parents) != sorted(want):
+            if have != sorted(want):
                 misfit = f"{label} {v.name} @ *: parents {_sig(t.parents)} do not match"
                 out.extend(f"{misfit} {_sig(want)} required at index {i}" for i in same)
 
@@ -331,65 +353,77 @@ def _sig(parents) -> str:
     return " ".join(f"{n}/{r}" for n, r in parents)
 
 
-def _check_sequence(where: str, seq: tuple[int, ...]) -> list[str]:
-    out = []
+def _add_faults(out: list[str], where: str, faults: list[str]) -> None:
+    """Append each fault to ``out`` as ``where: fault``."""
+    out.extend(f"{where}: {fault}" for fault in faults)
+
+
+def _sequence_faults(seq: tuple[int, ...]) -> list[str]:
+    """The faults of an index sequence, each without the sequence's name:
+    empty, an index that is not a positive int, or not strictly increasing."""
     if not seq:
-        out.append(f"{where}: empty")
-        return out
-    if any(not isinstance(i, int) or i < 1 for i in seq):
-        out.append(f"{where}: indices must be positive integers")
-    if any(b <= a for a, b in zip(seq, seq[1:])):
-        out.append(f"{where}: not strictly increasing")
+        return ["empty"]
+    out = []
+    if not all(map(isinstance, seq, repeat(int))) or min(seq) < 1:
+        out.append("indices must be positive integers")
+    if any(map(le, seq[1:], seq)):
+        out.append("not strictly increasing")
     return out
 
 
-def _check_table(model, t, covered, times) -> list[str]:
+def _table_name(t) -> str:
+    """How a fault names a table: ``cpd X @ 3``, ``utility U @ *``."""
+    label = "cpd" if isinstance(t, TabularCpd) else "utility"
+    at = "*" if t.time_index is None else str(t.time_index)
+    return f"{label} {t.variable} @ {at}"
+
+
+def _table_faults(model, t, covered, times) -> list[str]:
+    """The faults of one table, each without the table's name; ``covered``
+    gathers, per variable, the index (None: stationary) of each of its
+    tables of the right class, and ``times`` each variable's indices as a
+    set, made when first needed."""
     is_cpd = isinstance(t, TabularCpd)
-    label = "cpd" if is_cpd else "utility"
-    at = "*" if t.stationary else str(t.time_index)
-    where = f"{label} {t.variable} @ {at}"
-    out: list[str] = []
-
-    if not model.has_variable(t.variable):
-        return [f"{where}: undeclared variable"]
-    v = model.variable(t.variable)
+    i = t.time_index
+    by_name = model._by_name
+    v = by_name.get(t.variable)
+    if v is None:
+        return ["undeclared variable"]
     if is_cpd and v.kind != CHANCE:
-        out.append(f"{where}: cpd declared for {v.kind} variable")
-        return out
+        return [f"cpd declared for {v.kind} variable"]
     if not is_cpd and v.kind != VALUE:
-        out.append(f"{where}: utility declared for {v.kind} variable")
-        return out
+        return [f"utility declared for {v.kind} variable"]
 
-    key = (t.variable, t.time_index)
-    if key in covered:
-        out.append(f"{where}: duplicate table")
-    covered[key] = 1
+    out: list[str] = []
+    own = covered.setdefault(t.variable, set())
+    if i in own:
+        out.append("duplicate table")
+    own.add(i)
 
-    if not t.stationary and t.time_index not in times[t.variable]:
-        out.append(f"{where}: index {t.time_index} not in the variable's times")
+    if i is not None:
+        indices = times.get(t.variable)
+        if indices is None:
+            indices = times[t.variable] = frozenset(v.times)
+        if i not in indices:
+            out.append(f"index {i} not in the variable's times")
 
     n_rows = 1
     for pname, role in t.parents:
-        if not model.has_variable(pname):
-            out.append(f"{where}: undeclared parent {pname!r}")
+        p = by_name.get(pname)
+        if p is None:
+            out.append(f"undeclared parent {pname!r}")
             return out
-        p = model.variable(pname)
         if p.kind == VALUE:
-            out.append(f"{where}: value variable {pname!r} cannot be a parent")
+            out.append(f"value variable {pname!r} cannot be a parent")
             return out
         n_rows *= len(p.states)
 
-    if not t.stationary:
-        want = parent_signature(model, t.variable, t.time_index)
+    if i is not None:
+        want = parent_signature(model, t.variable, i)
         if sorted(t.parents) != sorted(want):
-            out.append(
-                f"{where}: parents {_sig(t.parents)} do not match arcs "
-                f"({_sig(want)})"
-            )
+            out.append(f"parents {_sig(t.parents)} do not match arcs ({_sig(want)})")
 
-    n_cols = len(v.states)
-    out.extend(f"{where}: {fault}" for fault in _number_faults(t, n_rows, n_cols))
-    return out
+    return out + _number_faults(t, n_rows, len(v.states))
 
 
 def _number_faults(t, n_rows: int, n_cols: int) -> list[str]:
@@ -405,7 +439,7 @@ def _number_faults(t, n_rows: int, n_cols: int) -> list[str]:
             if len(row) != n_cols:
                 out.append(f"row {r} has {len(row)} entries, expected {n_cols}")
                 continue
-            if not all(map(math.isfinite, row)):
+            if not all(map(isfinite, row)):
                 out.append(f"row {r} has non-finite entries")
                 continue
             if min(row) < 0.0 or max(row) > 1.0:
@@ -416,7 +450,7 @@ def _number_faults(t, n_rows: int, n_cols: int) -> list[str]:
     else:
         if len(t.values) != n_rows:
             out.append(f"expected {n_rows} values, got {len(t.values)}")
-        if not all(map(math.isfinite, t.values)):
+        if not all(map(isfinite, t.values)):
             out.append("utility values must be finite")
     return out
 

@@ -524,6 +524,32 @@ def test_decision_order_matches_unrestricted_ancestor_walk():
     assert not_by_name
 
 
+def test_decision_order_walks_nodes_declared_after_the_decisions():
+    # x is declared after both decisions and lies on the path b -> x -> a,
+    # so b acts first in every slice although a sorts first by name.
+    m = parse(
+        "tdid 1\nmaster 1 2\n"
+        "decision a : y n\ndecision b : y n\nchance x : y n\nvalue u\n"
+        "arc inst b x\narc inst x a\narc inst a u\n"
+        "cpt x @ * | b : 0.5 0.5 , 0.5 0.5\nutil u @ * | a : 1 0\n"
+    )
+    for barren in (False, True):
+        did = deploy(m, barren=barren)
+        assert did.decision_order == (("b", 1), ("a", 1), ("b", 2), ("a", 2))
+        assert did.decision_order == unrestricted_decision_order(did)
+
+
+def test_decision_order_is_the_same_for_any_declaration_order():
+    rng = np.random.default_rng(20262)
+    for _ in range(600):
+        m = random_model(rng, max_deployed_nonvalue=12, max_decisions=4)
+        order = deploy(m, barren=False).decision_order
+        variables = [m.variables[k] for k in rng.permutation(len(m.variables))]
+        shuffled = dataclasses.replace(m, variables=tuple(variables))
+        did = deploy(shuffled, barren=False)
+        assert did.decision_order == order == unrestricted_decision_order(did)
+
+
 # --- renderers, collapse and order on long and random diagrams ----------------
 
 
