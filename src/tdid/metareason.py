@@ -24,8 +24,11 @@ from __future__ import annotations
 import math
 import os
 import pathlib
+from bisect import bisect_left
 from dataclasses import dataclass, replace
-from operator import attrgetter
+from functools import cached_property
+from itertools import repeat
+from operator import attrgetter, is_, sub
 from typing import NamedTuple
 
 from ._fmt import canonical_json, fmt_float, fmt_int
@@ -148,23 +151,24 @@ class UrgencyFunction:
             "tabulated", points=tuple((float(t), float(u)) for t, u in points)
         )
 
+    @cached_property
+    def _times(self) -> tuple[float, ...]:
+        return tuple(t for t, _ in self.points)
+
     def __call__(self, t: float) -> float:
         if self.kind == "linear":
             return self.rate * t
         if self.kind == "step":
             return self.penalty if t > self.deadline else 0.0
-        ts = [p[0] for p in self.points]
-        us = [p[1] for p in self.points]
+        ts = self._times
         if t <= ts[0]:
-            return us[0]
+            return self.points[0][1]
         if t >= ts[-1]:
-            return us[-1]
-        for (t1, u1), (t2, u2) in zip(self.points, self.points[1:]):
-            if t1 <= t <= t2:
-                if t2 == t1:
-                    return u2
-                return u1 + (u2 - u1) * (t - t1) / (t2 - t1)
-        raise AssertionError("unreachable")
+            return self.points[-1][1]
+        # The first segment with t1 <= t <= t2: t1 < t there, so t2 > t1.
+        k = bisect_left(ts, t)
+        (t1, u1), (t2, u2) = self.points[k - 1], self.points[k]
+        return u1 + (u2 - u1) * (t - t1) / (t2 - t1)
 
 
 def parse_urgency(text: str) -> UrgencyFunction:
@@ -330,6 +334,29 @@ class EvcCurve:
     best: SuiteEntry
 
 
+# The Q(t) steps of the suite last swept: the suite's entries, the repr of
+# the t0 given (so -0.0 and 0.0 differ), the baseline, and per candidate
+# time, ascending, Q there and the entry attaining it.  Only the urgency
+# changes from one decision to the next.  A suite matches entry by entry by
+# identity: an equal suite of other objects (another knowledge base's) is
+# swept again, so its curve names its own entries.
+_steps: tuple = ((), None, 0.0, [], [], [])
+
+
+def _q_steps(suite, t0):
+    global _steps
+    held, key, base, times, qs, entries = _steps
+    if key != repr(t0) or len(held) != len(suite) or not all(map(is_, held, suite)):
+        held, key = tuple(suite), repr(t0)
+        base = min((e.cost_time for e in suite), default=0.0) if t0 is None else t0
+        steps = list(_sweep(suite, float(base)))
+        times = [t for t, _ in steps]
+        entries = [e for _, e in steps]
+        qs = [e.quality for e in entries]
+        _steps = (held, key, base, times, qs, entries)
+    return base, times, qs, entries
+
+
 def select(suite, urgency: UrgencyFunction, t0: float | None = None) -> EvcCurve:
     """Pick the deliberation time maximizing EVC, and the model to use.
 
@@ -338,25 +365,22 @@ def select(suite, urgency: UrgencyFunction, t0: float | None = None) -> EvcCurve
     loss).  Ties break toward the smaller time: act sooner.  A t0 of
     None means "the fastest model available": its cheapest cost time.
     One sweep over the suite, sorted once by cost, yields every candidate
-    and Q there; curve values must be finite, checked once the whole sweep
-    has run, so its own errors come first.
+    and Q there, and is kept for the next selection on the same entries
+    (see ``_steps``); curve values must be finite, checked after the
+    sweep, so its own errors come first.
     """
-    if t0 is None:
-        t0 = min((e.cost_time for e in suite), default=0.0)
-    points = []
-    best_point, best_entry = None, None
-    for t, entry in _sweep(suite, float(t0)):
-        if not points:
-            q_t0, u_t0 = entry.quality, urgency(t0)
-        q, u_t = entry.quality, urgency(t)
-        point = EvcPoint(t, q, q - u_t, (q - q_t0) - (u_t - u_t0))
-        points.append(point)
-        if best_point is None or point.evc > best_point.evc:
-            best_point, best_entry = point, entry
-    for p in points:
-        if not (math.isfinite(p.uc) and math.isfinite(p.evc)):
-            raise MetareasonError(f"EVC curve is not finite at t={fmt_float(p.t)}")
-    return EvcCurve(float(t0), tuple(points), best_point.t, best_entry)
+    t0, times, qs, entries = _q_steps(suite, t0)
+    us = list(map(urgency, times))
+    q_t0, u_t0 = qs[0], urgency(t0)
+    ucs = list(map(sub, qs, us))
+    evcs = list(map(sub, map(sub, qs, repeat(q_t0)), map(sub, us, repeat(u_t0))))
+    if not (all(map(math.isfinite, ucs)) and all(map(math.isfinite, evcs))):
+        for t, uc, v in zip(times, ucs, evcs):
+            if not (math.isfinite(uc) and math.isfinite(v)):
+                raise MetareasonError(f"EVC curve is not finite at t={fmt_float(t)}")
+    k = evcs.index(max(evcs))  # the first of equal maxima: act sooner
+    points = list(map(tuple.__new__, repeat(EvcPoint), zip(times, qs, ucs, evcs)))
+    return EvcCurve(float(t0), tuple(points), times[k], entries[k])
 
 
 # ---------------------------------------------------------------------------
@@ -382,32 +406,46 @@ def load_kb(path) -> list[SuiteEntry]:
     """Read every ``*.entry`` manifest (and its model file) in a directory.
 
     Both files of every entry are read on every call.  An entry whose two
-    files hold the same bytes as at its last successful load is returned
-    as that load built it (see ``_records``); any other entry is read
-    afresh.  The directory is opened once, and every file is opened
-    relative to that descriptor.
+    files hold the same bytes as at its directory's last successful load
+    is returned as that load built it (see ``_directories``); any other
+    entry is read afresh, and entries read afresh in one call whose model
+    files hold equal bytes share one parsed model.  The directory is
+    opened once, and every file is opened relative to that descriptor.
     """
     path = pathlib.Path(path)
     if not path.is_dir():
         raise FileNotFoundError(f"knowledge base {str(path)!r} is not a directory")
     root = str(path)
+    held = _directories.get(root) or _Directory([], [], {})  # [] has no manifest
     dir_fd = os.open(root, os.O_RDONLY | os.O_DIRECTORY)
     try:
-        names = sorted(n for n in os.listdir(dir_fd) if n.endswith(".entry"))
-        for n in names:  # an entry's name goes into reports, which are UTF-8
-            try:
-                n.encode("utf-8")
-            except UnicodeEncodeError:
-                raise MetareasonError(
-                    f"manifest name {n!r} is not valid UTF-8"
-                ) from None
+        listing = os.listdir(dir_fd)
+        names = held.names if held.listing == listing else _manifests(listing)
         prefix = os.path.join(root, "")  # a listed name holds no separator
-        entries = [_load_entry(dir_fd, prefix, n) for n in names]
+        records, models = {}, {}
+        for n in names:
+            records[n] = _load_entry(dir_fd, prefix, n, held.records.get(n), models)
     finally:
         os.close(dir_fd)
-    if not entries:
+    if not records:
         raise MetareasonError(f"knowledge base {str(path)!r} has no entries")
-    return entries
+    _directories.pop(root, None)
+    remember(_directories, root, _Directory(listing, names, records), _KB_CAP)
+    return [r.entry for r in records.values()]
+
+
+def _manifests(listing: list[str]) -> list[str]:
+    """The manifest names of a directory listing, sorted; each must name
+    an entry, and in UTF-8, since entry names go into reports."""
+    names = sorted(n for n in listing if n.endswith(".entry"))
+    for n in names:
+        if n == ".entry":
+            raise MetareasonError("manifest name '.entry' names no entry")
+        try:
+            n.encode("utf-8")
+        except UnicodeEncodeError:
+            raise MetareasonError(f"manifest name {n!r} is not valid UTF-8") from None
+    return names
 
 
 @dataclass(eq=False, slots=True)
@@ -422,34 +460,50 @@ class _Record:
     entry: SuiteEntry
 
 
-# Manifest path -> its record.  An entry is a pure function of its two
+@dataclass(eq=False, slots=True)
+class _Directory:
+    """A knowledge base's last successful load: its ``os.listdir``, the
+    manifest names derived from it, and each manifest's record by name."""
+
+    listing: list[str]
+    names: list[str]
+    records: dict[str, _Record]
+
+
+# Directory path -> its last successful load, least recently loaded first
+# and at most _KB_CAP of them.  An entry is a pure function of its two
 # files' bytes and entries are immutable, so equal bytes may return the
-# same entry.  A changed file replaces the record.
-_records: dict[str, _Record] = {}
+# same entry.  A load keeps the records of the manifests it listed only.
+_KB_CAP = 8
+_directories: dict[str, _Directory] = {}
 
 
-def _load_entry(dir_fd: int, prefix: str, name: str) -> SuiteEntry:
-    """The entry of manifest ``name`` in the directory open as ``dir_fd``,
-    whose path is ``prefix`` (ending in a separator)."""
-    manifest = prefix + name
-    data = _read(manifest, dir_fd=dir_fd, name=name)
-    record = _records.get(manifest)
+def _load_entry(
+    dir_fd: int, prefix: str, name: str, record: _Record | None, models: dict
+) -> _Record:
+    """The record of manifest ``name`` in the directory open as ``dir_fd``,
+    whose path is ``prefix`` (ending in a separator): ``record`` if both
+    files still hold its bytes, else one read afresh."""
+    data = _read(prefix + name, dir_fd=dir_fd, name=name)
     if record is not None and record.manifest == data:
         try:
             model = _read(record.model_path, dir_fd=dir_fd, name=record.model_file)
             if model == record.model:
-                return record.entry
+                return record
         except OSError:
             pass  # read again, and reported, below
-    record = _records[manifest] = _read_entry(pathlib.Path(manifest), data, dir_fd)
-    return record.entry
+    return _read_entry(prefix, name, data, dir_fd, models)
 
 
-def _read_entry(manifest: pathlib.Path, data: bytes, dir_fd: int) -> _Record:
+def _read_entry(
+    prefix: str, name: str, data: bytes, dir_fd: int, models: dict
+) -> _Record:
+    """Manifest ``name``, holding ``data``, read afresh.  ``models`` maps
+    the model bytes this load has parsed to those bytes and their model."""
     try:
         text = _decode(data)
     except ModelFormatError as err:
-        raise MetareasonError(f"{manifest.name}: {err}") from None
+        raise MetareasonError(f"{name}: {err}") from None
     fields: dict[str, str] = {}
     for n, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -457,30 +511,31 @@ def _read_entry(manifest: pathlib.Path, data: bytes, dir_fd: int) -> _Record:
             continue
         key, _, rest = line.partition(" ")
         if key in fields:
-            raise ModelFormatError(f"duplicate {key!r} in {manifest.name}", n)
+            raise ModelFormatError(f"duplicate {key!r} in {name}", n)
         fields[key] = rest.strip()
     missing = {"model", "quality", "cost", "space", "intervals"} - set(fields)
     if missing:
-        raise MetareasonError(
-            f"{manifest.name}: missing {', '.join(sorted(missing))}"
-        )
+        raise MetareasonError(f"{name}: missing {', '.join(sorted(missing))}")
     model_file = fields["model"]
     # A file of this directory only: no path, no "..", no NUL for open().
     plain = model_file not in ("", ".", "..") and "\0" not in model_file
     if not plain or os.path.dirname(model_file):
         raise MetareasonError(
-            f"{manifest.name}: model must be a file name in the knowledge "
+            f"{name}: model must be a file name in the knowledge "
             f"base, got {model_file!r}"
         )
-    model_path = os.path.join(str(manifest.parent), model_file)
+    model_path = prefix + model_file
     try:
         model_bytes = _read(model_path, dir_fd=dir_fd, name=model_file)
     except OSError as err:
-        raise MetareasonError(f"{manifest.name}: cannot read model: {err}") from err
-    try:
-        model = parse_model(model_bytes)
-    except ModelFormatError as err:
-        raise MetareasonError(f"{manifest.name}: {model_file}: {err}") from None
+        raise MetareasonError(f"{name}: cannot read model: {err}") from err
+    shared = models.get(model_bytes)
+    if shared is None:
+        try:
+            shared = models[model_bytes] = (model_bytes, parse_model(model_bytes))
+        except ModelFormatError as err:
+            raise MetareasonError(f"{name}: {model_file}: {err}") from None
+    model_bytes, model = shared
 
     def number(key, kind):
         try:
@@ -490,12 +545,11 @@ def _read_entry(manifest: pathlib.Path, data: bytes, dir_fd: int) -> _Record:
         except ValueError:
             pass
         raise MetareasonError(
-            f"{manifest.name}: {key} must be a finite {kind.__name__}, "
-            f"got {fields[key]!r}"
+            f"{name}: {key} must be a finite {kind.__name__}, got {fields[key]!r}"
         )
 
     entry = SuiteEntry(
-        name=manifest.stem,
+        name=name[: -len(".entry")],
         model=model,
         cost_time=number("cost", float),
         space_size=number("space", int),
@@ -507,7 +561,13 @@ def _read_entry(manifest: pathlib.Path, data: bytes, dir_fd: int) -> _Record:
 
 
 def write_entry(kb_dir, entry: SuiteEntry) -> pathlib.Path:
-    """Write ``<name>.tdid`` and ``<name>.entry`` into the directory."""
+    """Write ``<name>.tdid`` and ``<name>.entry`` into the directory.  The
+    name must be a file name, so that ``load_kb`` reads the entry back."""
+    if not entry.name or {"\0", os.sep, os.altsep} & set(entry.name):
+        raise MetareasonError(
+            f"entry name {entry.name!r} must be a nonempty file name, "
+            "without a path separator or NUL"
+        )
     kb_dir = pathlib.Path(kb_dir)
     kb_dir.mkdir(parents=True, exist_ok=True)
     model_file = f"{entry.name}.tdid"

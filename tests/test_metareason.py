@@ -932,3 +932,193 @@ def test_selection_report_without_meu():
     assert selection_report(curve) == selection_report(curve, 9.0).replace(
         ', "meu": 9', ""
     )
+
+
+# ---------------------------------------------------------------------------
+# Tabulated urgency, selection reuse and the knowledge-base store
+
+
+def reference_tabulated(points, t):
+    """The segment scan ``UrgencyFunction.__call__`` made before bisection."""
+    ts = [p[0] for p in points]
+    us = [p[1] for p in points]
+    if t <= ts[0]:
+        return us[0]
+    if t >= ts[-1]:
+        return us[-1]
+    for (t1, u1), (t2, u2) in zip(points, points[1:]):
+        if t1 <= t <= t2:
+            if t2 == t1:
+                return u2
+            return u1 + (u2 - u1) * (t - t1) / (t2 - t1)
+    raise AssertionError("unreachable")
+
+
+def test_tabulated_urgency_bisection_matches_the_segment_scan():
+    rng = np.random.default_rng(20261020)
+    for _ in range(500):
+        n = int(rng.integers(1, 8))
+        ts = np.sort(rng.choice([0.0, 0.5, 1.0, 1.0, 2.0, 3.5, 7.0], size=n))
+        us = np.sort(rng.uniform(0.0, 10.0, size=n))
+        u = UrgencyFunction.tabulated(zip(ts.tolist(), us.tolist()))
+        probes = set(ts.tolist()) | set(rng.uniform(-1.0, 8.0, size=20).tolist())
+        for t in sorted(probes | {-0.0, 0.25, 1.0 + 1e-16, 1e300, -math.inf, math.inf}):
+            assert repr(u(t)) == repr(reference_tabulated(u.points, t))
+
+
+def test_select_on_an_equal_suite_of_other_objects_names_its_own_entries():
+    urgency = UrgencyFunction.linear(0.5)
+    first, second = suite_two(), suite_two()
+    assert first == second
+    a, b = select(first, urgency), select(second, urgency)
+    assert a == b and a.best is first[1] and b.best is second[1]
+    assert select(first, urgency).best is first[1]
+
+
+def test_select_sweeps_again_after_the_suite_or_t0_changes():
+    s = [entry("a", 1.0, 0.0), entry("b", 2.0, 1.0), entry("c", 3.0, 2.0)]
+    urgency = UrgencyFunction.linear(0.25)
+    assert select(s, urgency).best.name == "c"
+    s[2] = entry("d", 0.5, 2.0)  # the same list, changed in place
+    curve = select(s, urgency)
+    assert curve.best.name == "b" and len(curve.points) == 3
+    points, t_star, best = reference_select(s, urgency, None)
+    assert [tuple(p) for p in curve.points] == points
+    for t0 in (0.0, -0.0, 0.0, 1.0, -0.0):
+        curve = select(s, urgency, t0)
+        points, t_star, best = reference_select(s, urgency, t0)
+        assert repr(curve.t0) == repr(float(t0))
+        assert [repr(p) for p in curve.points] == [repr(EvcPoint(*p)) for p in points]
+        assert curve.t_star == t_star and curve.best is best
+
+
+def test_select_recomputes_errors_after_a_held_sweep():
+    s = [entry("a", 1.0, 0.0), entry("b", 2.0, 2.0)]
+    select(s, UrgencyFunction.linear(0.0), 0.0)
+    with pytest.raises(MetareasonError, match="not finite at t=2"):
+        select(s, UrgencyFunction.linear(1e308), 0.0)
+    with pytest.raises(MetareasonError, match="no model is computable within t=-1"):
+        select(s, UrgencyFunction.linear(0.0), -1.0)
+    with pytest.raises(MetareasonError, match="empty model suite"):
+        select([], UrgencyFunction.linear(0.0), 0.0)
+
+
+def counting_parse(monkeypatch):
+    calls = []
+
+    def counted(data):
+        calls.append(data)
+        return parse(data)
+
+    monkeypatch.setattr(metareason, "parse_model", counted)
+    return calls
+
+
+def test_kb_load_parses_each_distinct_model_once(tmp_path, fixtures_dir, monkeypatch):
+    kb = build_kb(tmp_path, fixtures_dir)
+    (kb / "again.tdid").write_bytes((kb / "coarse.tdid").read_bytes())
+    text = (kb / "coarse.entry").read_text().replace("coarse.tdid", "again.tdid")
+    (kb / "again.entry").write_text(text)
+    calls = counting_parse(monkeypatch)
+    by_name = {e.name: e for e in load_kb(kb)}
+    assert len(calls) == 2
+    assert by_name["again"].model is by_name["coarse"].model
+    assert by_name["full"].model is not by_name["coarse"].model
+    records = metareason._directories[str(kb)].records
+    assert records["again.entry"].model is records["coarse.entry"].model
+    for e in by_name.values():
+        assert e.model == parse((kb / f"{e.name}.tdid").read_bytes())
+    # A model read afresh is not shared with one its load returned as held.
+    (kb / "full.tdid").write_bytes((kb / "coarse.tdid").read_bytes())
+    after = {e.name: e for e in load_kb(kb)}
+    assert len(calls) == 3
+    assert after["full"].model == after["coarse"].model
+    assert after["full"].model is not after["coarse"].model
+    assert after["coarse"] is by_name["coarse"]
+
+
+def test_kb_load_reuses_an_unchanged_listing(tmp_path, fixtures_dir, monkeypatch):
+    kb = build_kb(tmp_path, fixtures_dir)
+    calls, manifests = [], metareason._manifests
+
+    def counted(listing):
+        calls.append(listing)
+        return manifests(listing)
+
+    monkeypatch.setattr(metareason, "_manifests", counted)
+    first = load_kb(kb)
+    assert len(calls) == 1
+    second = load_kb(kb)
+    assert len(calls) == 1
+    assert second == first and second is not first  # a new list every call
+    (kb / "notes.txt").write_text("not a manifest\n")
+    assert load_kb(kb) == first and len(calls) == 2
+
+
+def test_kb_load_sees_manifests_added_and_removed(tmp_path, fixtures_dir):
+    kb = build_kb(tmp_path, fixtures_dir)
+    assert [e.name for e in load_kb(kb)] == ["coarse", "full"]
+    (kb / "more.entry").write_text((kb / "full.entry").read_text())
+    assert [e.name for e in load_kb(kb)] == ["coarse", "full", "more"]
+    (kb / "coarse.entry").unlink()
+    assert [e.name for e in load_kb(kb)] == ["full", "more"]
+    assert sorted(metareason._directories[str(kb)].records) == ["full.entry", "more.entry"]
+
+
+def test_kb_load_refuses_a_bad_name_added_after_a_load(tmp_path, fixtures_dir):
+    kb = build_kb(tmp_path, fixtures_dir)
+    first = load_kb(kb)
+    (kb / ".entry").write_text((kb / "full.entry").read_text())
+    for _ in range(2):  # a refused listing is not held
+        with pytest.raises(MetareasonError) as err:
+            load_kb(kb)
+        assert str(err.value) == "manifest name '.entry' names no entry"
+    (kb / ".entry").unlink()
+    assert load_kb(kb) == first
+    try:
+        (kb / os.fsdecode(b"\xff.entry")).write_text((kb / "full.entry").read_text())
+    except (OSError, UnicodeEncodeError):
+        pytest.skip("the filesystem refuses a file name that is not UTF-8")
+    for _ in range(2):
+        with pytest.raises(MetareasonError, match="is not valid UTF-8"):
+            load_kb(kb)
+
+
+def test_kb_store_is_bounded_and_forgets_removed_entries(
+    tmp_path, fixtures_dir, monkeypatch
+):
+    monkeypatch.setattr(metareason, "_directories", {})
+    kb = build_kb(tmp_path, fixtures_dir)
+    copies = [shutil.copytree(kb, tmp_path / f"copy{k}") for k in range(metareason._KB_CAP + 2)]
+    for path in [kb, *copies]:
+        load_kb(path)
+        assert len(metareason._directories) <= metareason._KB_CAP
+    assert list(metareason._directories) == [str(p) for p in copies[-metareason._KB_CAP:]]
+    load_kb(copies[-3])  # the most recently loaded is the last evicted
+    assert list(metareason._directories)[-1] == str(copies[-3])
+    many = tmp_path / "many"
+    model = parse((fixtures_dir / "two_var_lagged.tdid").read_bytes())
+    for k in range(6):
+        write_entry(many, make_entry(f"e{k}", model))
+    load_kb(many)
+    for k in range(4):
+        (many / f"e{k}.entry").unlink()
+        (many / f"e{k}.tdid").unlink()
+    assert [e.name for e in load_kb(many)] == ["e4", "e5"]
+    assert sorted(metareason._directories[str(many)].records) == ["e4.entry", "e5.entry"]
+
+
+@pytest.mark.parametrize("name", ["", "a/b", "a\0b", "/abs", "sub/"])
+def test_write_entry_refuses_a_name_that_is_not_a_file_name(tmp_path, name):
+    kb = tmp_path / "kb"
+    (kb / "a").mkdir(parents=True)
+    with pytest.raises(MetareasonError) as err:
+        write_entry(kb, make_entry(name, TINY))
+    assert "\n" not in str(err.value) and "must be a nonempty file name" in str(err.value)
+    assert list(kb.rglob("*")) == [kb / "a"]
+
+
+@pytest.mark.parametrize("name", [".", "..", "x.entry", "a b", "é"])
+def test_entry_names_round_trip(tmp_path, name):
+    write_entry(tmp_path, make_entry(name, TINY))
+    assert [e.name for e in load_kb(tmp_path)] == [name]
