@@ -41,11 +41,11 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left, bisect_right
-from collections import defaultdict
+from collections import Counter, defaultdict
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cache, cached_property, partial
-from itertools import accumulate, chain, compress, count, groupby, repeat, starmap
+from itertools import accumulate, chain, compress, count, groupby, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -92,6 +92,11 @@ def node_name(node: NodeId) -> str:
 
 def _no_node(node: NodeId) -> ModelError:
     return ModelError(f"no deployed node {node_name(node)}")
+
+
+def _twice(ids) -> ModelError:
+    node = next(n for n, k in Counter(ids).items() if k > 1)  # the first repeated
+    return ModelError(f"deployed node {node_name(node)} is given twice")
 
 
 class SliceNode(NamedTuple):
@@ -210,33 +215,37 @@ def deploy(model: CondensedTdid, *, barren: bool = True) -> DeployedDid:
     structure has a plan skips the structural checks of ``validate``, which
     that structure has passed, and has its indices and table numbers
     checked; any fault is reported by ``validate`` itself.  Every model is
-    then bound to its structure's plan.
+    then bound to its structure's plan; a field that cannot be hashed is refused.
     """
     # The key holds the structure's fields as plain tuples, which hash and
     # compare in C, where the records' own hash and equality run in Python.
     # A table's class is part of it: ``validate`` tells a CPT from a utility
     # by it.
+    key = (
+        barren,
+        model.master,
+        tuple([(v.name, v.kind, v.states, v.times) for v in model.variables]),
+        tuple([(a.src, a.dst, a.kind) for a in model.arcs]),
+        tuple([(type(t), t.variable, t.time_index, t.parents) for t in model.cpds]),
+        tuple([(type(u), u.variable, u.time_index, u.parents) for u in model.utilities]),
+        model.tick,
+    )
     try:
-        key = (
-            barren,
-            model.master,
-            tuple([(v.name, v.kind, v.states, v.times) for v in model.variables]),
-            tuple([(a.src, a.dst, a.kind) for a in model.arcs]),
-            tuple([(type(t), t.variable, t.time_index, t.parents) for t in model.cpds]),
-            tuple([(type(u), u.variable, u.time_index, u.parents) for u in model.utilities]),
-            model.tick,
-        )
         plan = _plans.get(key)
-    except TypeError:  # a hand-built field that cannot be hashed: no plan kept
-        key = plan = None
+    except TypeError:  # a hand-built field: name the first that does not hash
+        for field, part in zip(fields(model), key[1:]):
+            try:
+                hash(part)
+            except TypeError:
+                raise ModelError(f"model field {field.name} cannot be hashed") from None
+        raise
     if plan is None or not plan.admits(model):
         problems = validate(model)
         if problems:
             raise ModelError("invalid model: " + "; ".join(problems))
     if plan is None:
         plan = _Plan.of(model, barren)
-        if key is not None:
-            remember(_plans, key, plan, _PLAN_CAP)
+        remember(_plans, key, plan, _PLAN_CAP)
     return plan.bind(model)
 
 
@@ -249,12 +258,11 @@ _plans: dict[tuple, _Plan] = {}
 _KINDS = (CHANCE, DECISION, VALUE, COPY)
 
 
-def _packed(values, bound: int) -> bytes | array:
-    """The ints ``values``, each in ``range(bound)``, packed: one byte each
-    where that holds them, else an array of 16-bit or wider ints."""
-    if bound <= 1 << 8:
-        return bytes(values)
-    return array("H" if bound <= 1 << 16 else "L", values)
+def _packed(values: list[int]) -> array:
+    """The nonnegative ints ``values`` in an array of 8-, 16- or wider
+    ints, the narrowest that holds them."""
+    top = max(values, default=0)
+    return array("B" if top < 1 << 8 else "H" if top < 1 << 16 else "L", values)
 
 
 class _Plan(NamedTuple):
@@ -275,17 +283,17 @@ class _Plan(NamedTuple):
     """
 
     shapes: tuple[tuple[int, int], ...]
-    var: bytes | array
-    at: bytes | array
-    kind: bytes
-    parents: bytes | array
-    ends: bytes | array
-    tables: bytes | array
-    bodies: bytes | array
-    copied: bytes | array
-    utilities: bytes | array
-    values: bytes | array
-    decisions: bytes | array
+    var: array
+    at: array
+    kind: array
+    parents: array
+    ends: array
+    tables: array
+    bodies: array
+    copied: array
+    utilities: array
+    values: array
+    decisions: array
 
     @classmethod
     def of(cls, model: CondensedTdid, barren: bool) -> _Plan:
@@ -427,14 +435,9 @@ class _Plan(NamedTuple):
                     for x in (tables, utilities, decisions)
                 )
         ends = list(accumulate(map(len, parents_of)))
-        nodes = len(var)
-        packed = (
-            (var, n), (at, len(master)), (kind, len(_KINDS)),
-            (chain.from_iterable(parents_of), nodes), (ends, ends[-1] + 1), (tables, nodes),
-            (bodies, len(model.cpds) + len(copied)), (copied, n), (utilities, nodes),
-            (values, len(model.utilities)), (decisions, nodes),
-        )
-        return cls(shapes, *starmap(_packed, packed))
+        parents = list(chain.from_iterable(parents_of))
+        packed = var, at, kind, parents, ends, tables, bodies, copied, utilities, values, decisions
+        return cls(shapes, *map(_packed, packed))
 
     def admits(self, model: CondensedTdid) -> bool:
         """Whether ``validate`` passes a model of this structure, which it
@@ -535,15 +538,12 @@ def _order_decisions(decisions, var, at, names, parents_of) -> list[int]:
     variable's and its slice's positions, and ``parents_of`` its parents'
     positions.  Name, not declaration order, breaks ties so the order is
     stable under permuting the model's variable declarations."""
-    if len(set(map(at.__getitem__, decisions))) == len(decisions):
-        return decisions  # at most one decision per slice
     out: list[int] = []
     for i, group in groupby(decisions, key=at.__getitem__):
-        waiting = list(group)
-        if len(waiting) == 1:
-            out.extend(waiting)
+        waiting = sorted(group, key=lambda d: names[var[d]])
+        if len(waiting) == 1:  # no other decision of its slice to order
+            out += waiting
             continue
-        waiting.sort(key=lambda d: names[var[d]])
         # Only same-slice paths can order two decisions of one slice: lag and
         # copy arcs run strictly forward in time, so walk instantaneous arcs.
         # A slice's nodes are consecutive, ``first`` up to ``end``, so a
@@ -740,25 +740,24 @@ def table_entry_count(did: DeployedDid) -> int:
 
 class _Names(dict):
     """Each node's printed name, formatted once, and the node ids sorted
-    once (``order``).  An id that is not a node of the diagram, which only
-    a hand-built one can hold, still renders, and what holds one is sorted
-    on its own."""
+    once (``order``).  A node listed twice, an id that is not a node and a
+    node's second table or utility, which only a hand-built diagram can
+    hold, are model errors."""
 
     def __init__(self, did: DeployedDid):
         super().__init__({(b, i): f"{b}@{i}" for b, i, _, _ in did.nodes})  # node_name
+        if len(self) < len(did.nodes):
+            raise _twice(n.id for n in did.nodes)
         self.order = sorted(self)
-
-    def __missing__(self, node: NodeId) -> str:
-        return node_name(node)
 
     def join(self, ids) -> str:
         return " ".join(map(self.__getitem__, ids))
 
     def by_node(self, records) -> list:
-        """Tables or utilities sorted by node, stably."""
+        """Tables or utilities in node order (``arcs`` has checked their nodes)."""
         by_node = {r.node: r for r in records}
-        if len(by_node) < len(records) or not by_node.keys() <= self.keys():
-            return sorted(records, key=itemgetter(0))
+        if len(by_node) < len(records):
+            raise _twice(r.node for r in records)
         # ``get`` gives None for a node with no record.
         return list(filter(None, map(by_node.get, self.order)))
 
@@ -768,14 +767,13 @@ class _Names(dict):
         parents' lists, and each parent's name looked up once."""
         parents_of = did.parents_of
         children = defaultdict(list, {p: [] for p in self.order})
-        # Every node is a key of ``parents_of``; a further key is no node's.
-        kids = self.order if len(parents_of) == len(self) else sorted(parents_of)
-        for child in kids:
+        for child in self.order:
             shown = self[child]
             for p in parents_of[child]:
                 children[p].append(shown)
-        if len(children) > len(self):  # a parent that is no node
-            return [(self[p], children[p]) for p in sorted(children) if children[p]]
+        # Every node is a key of both: a further key, a record's or a parent's, is no node.
+        if len(parents_of) > len(self) or len(children) > len(self):
+            raise _no_node(next(n for n in chain(parents_of, children) if n not in self))
         return [(self[p], shown) for p, shown in children.items() if shown]
 
 
@@ -792,6 +790,7 @@ def serialize_deployed(did: DeployedDid) -> str:
 
     name = _Names(did)
     src_of = _copy_sources(did, name)
+    arcs = name.arcs(did)  # every id of the diagram is a node's from here
     out = ["deployed 2"]
     out.append("slices " + " ".join(map(fmt_int, did.slices)))
     # Nodes of one variable share its states, and unrolled slices share a
@@ -809,7 +808,7 @@ def serialize_deployed(did: DeployedDid) -> str:
             if listed is None:
                 listed = shown[id(states)] = " ".join(states)
             out.append(f"{kind} {name[nid]} : {listed}")
-    for src, dsts in name.arcs(did):
+    for src, dsts in arcs:
         prefix = "arc " + src + " "
         out.append(prefix + ("\n" + prefix).join(dsts))
     get = name.__getitem__

@@ -214,26 +214,10 @@ def with_cost(entry: SuiteEntry, cost_model: CostModel) -> SuiteEntry:
     return replace(entry, cost_time=estimate_cost(entry, cost_model))
 
 
-# The model last deployed here, and its deployed form, so that solving an
-# entry just made does not deploy its model again.  Matched by identity:
-# at most one deployed diagram is held.
-_last_deployed: tuple = (None, None)
-
-
-def _deployed(model: CondensedTdid):
-    global _last_deployed
-    held, did = _last_deployed
-    if held is not model:
-        did = deploy(model)
-        _last_deployed = (model, did)
-    return did
-
-
 def make_entry(name: str, model: CondensedTdid, tags=()) -> SuiteEntry:
     """Build an unsolved entry, measuring deployed size. Cost defaults to
     the space size (an analytic model with α=1, β=0) until re-costed."""
-    did = _deployed(model)
-    space = table_entry_count(did)
+    space = table_entry_count(deploy(model))
     return SuiteEntry(
         name=name,
         model=model,
@@ -258,7 +242,7 @@ _policies: dict[CondensedTdid, Policy] = {}
 def _policy(model: CondensedTdid) -> Policy:
     policy = _policies.get(model)
     if policy is None:
-        policy = solve(_deployed(model))
+        policy = solve(deploy(model))
         remember(_policies, model, policy, _POLICY_CAP)
     return policy
 
@@ -416,7 +400,8 @@ def load_kb(path) -> list[SuiteEntry]:
     if not path.is_dir():
         raise FileNotFoundError(f"knowledge base {str(path)!r} is not a directory")
     root = str(path)
-    held = _directories.get(root) or _Directory([], [], {})  # [] has no manifest
+    key = os.path.abspath(root)  # one directory, however it is spelled
+    held = _directories.get(key) or _Directory([], [], {})  # [] has no manifest
     dir_fd = os.open(root, os.O_RDONLY | os.O_DIRECTORY)
     try:
         listing = os.listdir(dir_fd)
@@ -429,8 +414,8 @@ def load_kb(path) -> list[SuiteEntry]:
         os.close(dir_fd)
     if not records:
         raise MetareasonError(f"knowledge base {str(path)!r} has no entries")
-    _directories.pop(root, None)
-    remember(_directories, root, _Directory(listing, names, records), _KB_CAP)
+    _directories.pop(key, None)
+    remember(_directories, key, _Directory(listing, names, records), _KB_CAP)
     return [r.entry for r in records.values()]
 
 
@@ -470,10 +455,10 @@ class _Directory:
     records: dict[str, _Record]
 
 
-# Directory path -> its last successful load, least recently loaded first
-# and at most _KB_CAP of them.  An entry is a pure function of its two
-# files' bytes and entries are immutable, so equal bytes may return the
-# same entry.  A load keeps the records of the manifests it listed only.
+# Absolute directory path -> its last successful load, least recently
+# loaded first and at most _KB_CAP of them.  An entry is a pure function
+# of its two files' bytes and entries are immutable, so equal bytes may
+# return the same entry.  A load keeps the records of the manifests it lists.
 _KB_CAP = 8
 _directories: dict[str, _Directory] = {}
 

