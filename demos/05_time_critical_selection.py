@@ -53,7 +53,9 @@ def run(kb):
     """Build the knowledge base in ``kb``, then select under several urgencies."""
     build_knowledge_base(kb)
     manifests = sorted(kb.glob("*.entry"))
-    print(f"knowledge base: {kb.name}, {len(manifests)} entries")
+    models = list(kb.glob("*.tdid"))  # equal models share one file
+    print(f"knowledge base: {kb.name}, {len(manifests)} entries, "
+          f"{len(models)} model files")
     for manifest in manifests:
         print(f"--- {manifest.name}")
         print("   ", manifest.read_text().strip().replace("\n", "\n    "))

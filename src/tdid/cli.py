@@ -16,6 +16,7 @@ import argparse
 import os
 import sys
 
+from ._errors import CapError
 from .abstraction import abstract_space, retime
 from .deploy import collapse_copies, deploy, emit_dot, serialize_deployed
 from .metareason import (
@@ -27,15 +28,26 @@ from .metareason import (
     selection_report,
 )
 from .model import _READ_FLAGS, ModelError, _read, parse, serialize, validate
-from .solve import (
-    CapError,
-    brute_force,
-    policies_agree,
-    policy_json,
-    solve,
-)
 
 __all__ = ["main"]
+
+# The solver's functions the commands call.  ``tdid.solve`` loads numpy, so
+# it is imported at the first call (PEP 562), and a command that solves
+# nothing never loads it; a name set on this module is called instead.
+_SOLVER = ("brute_force", "policies_agree", "policy_json", "solve")
+
+
+def __getattr__(name):
+    if name in _SOLVER:
+        from . import solve
+
+        return getattr(solve, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _solver(name: str):
+    return globals().get(name) or __getattr__(name)
+
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -82,17 +94,17 @@ def cmd_deploy(args) -> int:
 def cmd_solve(args) -> int:
     model = _read_model(args.model)
     did = deploy(model)
-    policy = solve(did)
+    policy = _solver("solve")(did)
     if args.oracle:
-        reference = brute_force(did)
-        if not policies_agree(did, policy, reference):
+        reference = _solver("brute_force")(did)
+        if not _solver("policies_agree")(did, policy, reference):
             print(
                 "oracle mismatch: solver meu "
                 f"{policy.meu!r} vs brute force {reference.meu!r}",
                 file=sys.stderr,
             )
             return EXIT_ORACLE
-    _write(policy_json(did, policy), args.out)
+    _write(_solver("policy_json")(did, policy), args.out)
     return EXIT_OK
 
 
@@ -141,7 +153,7 @@ def cmd_select(args) -> int:
     _write(selection_report(result.curve, result.policy.meu), args.out)
     if args.policy_out:
         did = deploy(result.entry.model)
-        _write(policy_json(did, result.policy), args.policy_out)
+        _write(_solver("policy_json")(did, result.policy), args.policy_out)
     return EXIT_OK
 
 

@@ -847,6 +847,8 @@ def emit_dot(did: DeployedDid) -> str:
     out.append('  "super" [shape=doublecircle];')
     for src, dsts in name.arcs(did):
         out.extend(f'  "{src}" -> "{dst}";' for dst in dsts)
+    for records in (did.tables, did.utilities):
+        name.by_node(records)  # refuses a node's second table or utility
     out.extend(f'  "{name[v]}" -> "super";' for v in did.value_nodes)
     out.append("}")
     return "\n".join(out) + "\n"

@@ -24,12 +24,13 @@ from __future__ import annotations
 import math
 import os
 import pathlib
+import zlib
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import repeat
+from itertools import count, repeat
 from operator import attrgetter, is_, sub
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from ._fmt import canonical_json, fmt_float, fmt_int
 from ._memo import remember
@@ -37,7 +38,9 @@ from .deploy import deploy, table_entry_count
 from .model import CondensedTdid, ModelError, ModelFormatError, _decode, _read
 from .model import parse as parse_model
 from .model import serialize as serialize_model
-from .solve import Policy, solve
+
+if TYPE_CHECKING:
+    from .solve import Policy
 
 __all__ = [
     "MetareasonError",
@@ -242,9 +245,21 @@ _policies: dict[CondensedTdid, Policy] = {}
 def _policy(model: CondensedTdid) -> Policy:
     policy = _policies.get(model)
     if policy is None:
+        solve = globals().get("solve") or __getattr__("solve")
         policy = solve(deploy(model))
         remember(_policies, model, policy, _POLICY_CAP)
     return policy
+
+
+def __getattr__(name):
+    # ``solve`` loads numpy, so it is imported at its first call (PEP 562),
+    # and a command that solves nothing never loads it; a ``solve`` set on
+    # this module (a test's stand-in) is called instead.
+    if name == "solve":
+        from .solve import solve
+
+        return solve
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def solve_entry(entry: SuiteEntry) -> tuple[SuiteEntry, Policy]:
@@ -387,14 +402,17 @@ class Problem:
 
 
 def load_kb(path) -> list[SuiteEntry]:
-    """Read every ``*.entry`` manifest (and its model file) in a directory.
+    """Read every ``*.entry`` manifest (and the model file it names) in a
+    directory.
 
-    Both files of every entry are read on every call.  An entry whose two
-    files hold the same bytes as at its directory's last successful load
-    is returned as that load built it (see ``_directories``); any other
-    entry is read afresh, and entries read afresh in one call whose model
-    files hold equal bytes share one parsed model.  The directory is
-    opened once, and every file is opened relative to that descriptor.
+    Every manifest is read on every call, and every model file a manifest
+    names once per call, however many manifests name it.  An entry whose
+    manifest and model file hold the same bytes as at its directory's last
+    successful load is returned as that load built it (see
+    ``_directories``); any other entry is read afresh, and entries read
+    afresh in one call whose model files hold equal bytes share one parsed
+    model.  The directory is opened once, and every file is opened
+    relative to that descriptor.
     """
     path = pathlib.Path(path)
     if not path.is_dir():
@@ -407,9 +425,11 @@ def load_kb(path) -> list[SuiteEntry]:
         listing = os.listdir(dir_fd)
         names = held.names if held.listing == listing else _manifests(listing)
         prefix = os.path.join(root, "")  # a listed name holds no separator
-        records, models = {}, {}
+        records, files, models = {}, {}, {}
         for n in names:
-            records[n] = _load_entry(dir_fd, prefix, n, held.records.get(n), models)
+            records[n] = _load_entry(
+                dir_fd, prefix, n, held.records.get(n), files, models
+            )
     finally:
         os.close(dir_fd)
     if not records:
@@ -435,11 +455,10 @@ def _manifests(listing: list[str]) -> list[str]:
 
 @dataclass(eq=False, slots=True)
 class _Record:
-    """One manifest's last successful load: the bytes of both its files
-    and the entry built from them."""
+    """One manifest's last successful load: its bytes, the name and bytes
+    of the model file it names, and the entry built from them."""
 
     manifest: bytes
-    model_path: str
     model_file: str
     model: bytes
     entry: SuiteEntry
@@ -463,25 +482,45 @@ _KB_CAP = 8
 _directories: dict[str, _Directory] = {}
 
 
+def _model_bytes(dir_fd: int, prefix: str, model_file: str, files: dict) -> bytes:
+    """The bytes of a model file, read at the load's first request for it:
+    ``files`` maps the model file names this load has read to their bytes."""
+    data = files.get(model_file)
+    if data is None:
+        data = files[model_file] = _read(
+            prefix + model_file, dir_fd=dir_fd, name=model_file
+        )
+    return data
+
+
 def _load_entry(
-    dir_fd: int, prefix: str, name: str, record: _Record | None, models: dict
+    dir_fd: int,
+    prefix: str,
+    name: str,
+    record: _Record | None,
+    files: dict,
+    models: dict,
 ) -> _Record:
     """The record of manifest ``name`` in the directory open as ``dir_fd``,
-    whose path is ``prefix`` (ending in a separator): ``record`` if both
-    files still hold its bytes, else one read afresh."""
+    whose path is ``prefix`` (ending in a separator): ``record`` if the
+    manifest and the model file it names still hold its bytes, else one
+    read afresh."""
     data = _read(prefix + name, dir_fd=dir_fd, name=name)
     if record is not None and record.manifest == data:
         try:
-            model = _read(record.model_path, dir_fd=dir_fd, name=record.model_file)
-            if model == record.model:
+            if _model_bytes(dir_fd, prefix, record.model_file, files) == record.model:
+                # The record's equal bytes stand for the file, so the read
+                # is freed now, not held to the load's end: a knowledge
+                # base with one model file per entry loads no slower.
+                files[record.model_file] = record.model
                 return record
         except OSError:
             pass  # read again, and reported, below
-    return _read_entry(prefix, name, data, dir_fd, models)
+    return _read_entry(prefix, name, data, dir_fd, files, models)
 
 
 def _read_entry(
-    prefix: str, name: str, data: bytes, dir_fd: int, models: dict
+    prefix: str, name: str, data: bytes, dir_fd: int, files: dict, models: dict
 ) -> _Record:
     """Manifest ``name``, holding ``data``, read afresh.  ``models`` maps
     the model bytes this load has parsed to those bytes and their model."""
@@ -509,9 +548,8 @@ def _read_entry(
             f"{name}: model must be a file name in the knowledge "
             f"base, got {model_file!r}"
         )
-    model_path = prefix + model_file
     try:
-        model_bytes = _read(model_path, dir_fd=dir_fd, name=model_file)
+        model_bytes = _model_bytes(dir_fd, prefix, model_file, files)
     except OSError as err:
         raise MetareasonError(f"{name}: cannot read model: {err}") from err
     shared = models.get(model_bytes)
@@ -542,11 +580,12 @@ def _read_entry(
         quality=None if fields["quality"] == "unsolved" else number("quality", float),
         tags=tuple(fields.get("tags", "").split()),
     )
-    return _Record(data, model_path, model_file, model_bytes, entry)
+    return _Record(data, model_file, model_bytes, entry)
 
 
 def write_entry(kb_dir, entry: SuiteEntry) -> pathlib.Path:
-    """Write ``<name>.tdid`` and ``<name>.entry`` into the directory.  The
+    """Write the entry's model file, unless the directory already holds
+    its bytes (see ``_model_file``), then ``<name>.entry`` naming it.  The
     name must be a file name, so that ``load_kb`` reads the entry back."""
     if not entry.name or {"\0", os.sep, os.altsep} & set(entry.name):
         raise MetareasonError(
@@ -555,8 +594,7 @@ def write_entry(kb_dir, entry: SuiteEntry) -> pathlib.Path:
         )
     kb_dir = pathlib.Path(kb_dir)
     kb_dir.mkdir(parents=True, exist_ok=True)
-    model_file = f"{entry.name}.tdid"
-    (kb_dir / model_file).write_text(serialize_model(entry.model), encoding="utf-8")
+    model_file = _model_file(kb_dir, serialize_model(entry.model).encode("utf-8"))
     lines = [
         f"model {model_file}",
         f"quality {'unsolved' if entry.quality is None else fmt_float(entry.quality)}",
@@ -569,6 +607,28 @@ def write_entry(kb_dir, entry: SuiteEntry) -> pathlib.Path:
     out = kb_dir / f"{entry.name}.entry"
     out.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return out
+
+
+def _model_file(kb_dir: pathlib.Path, data: bytes) -> str:
+    """The name of a model file in ``kb_dir`` holding ``data``, written
+    there unless one is already.  The name is ``m<crc32><length>.tdid``
+    (both hex) of ``data``, or, where a file of that name holds other
+    bytes, the first of ``-1``, ``-2``, ... inserted before ``.tdid`` that
+    is free or holds ``data``.  No file is ever rewritten, so the entries
+    naming one keep their model."""
+    stem = f"m{zlib.crc32(data):08x}{len(data):x}"
+    for k in count():
+        name = f"{stem}-{k}.tdid" if k else f"{stem}.tdid"
+        try:
+            with open(kb_dir / name, "xb") as fh:
+                fh.write(data)
+            return name
+        except FileExistsError:
+            try:
+                if _read(str(kb_dir / name)) == data:
+                    return name
+            except OSError:
+                pass  # not a readable file holding data: try the next name
 
 
 @dataclass(frozen=True)

@@ -46,9 +46,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._errors import CapError, OracleCapError, SolveCapError, SolveError
 from ._memo import remember
 from .deploy import DeployedDid, NodeId, node_name
-from .model import DECISION, VALUE, ModelError, _ancestors
+from .model import DECISION, VALUE, _ancestors
 
 # numpy's einsum kernel, called without ``np.einsum``'s Python layer: the
 # same C function with the same arithmetic, minus the dispatch.  It lives in
@@ -98,22 +99,6 @@ _LETTERS = string.ascii_letters  # einsum's subscript alphabet
 _TIE = 1e-12
 # The search carries a batch of frontiers; this names their leading axis.
 _ROW = ("rows",)
-
-
-class SolveError(ModelError):
-    """The diagram cannot be solved as posed."""
-
-
-class CapError(SolveError):
-    """A resource cap refuses the work before it starts."""
-
-
-class OracleCapError(CapError):
-    """The brute-force policy space or dense joint exceeds its cap."""
-
-
-class SolveCapError(CapError):
-    """The solver's frontier or search bound exceeds its cap."""
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,15 @@ def cardiac_text(horizon: int) -> str:
     return text.replace("master 1 2 3", master)
 
 
+def entry_model(kb: pathlib.Path, name: str) -> pathlib.Path:
+    """The model file that entry ``name``'s manifest in ``kb`` names."""
+    for line in (kb / f"{name}.entry").read_text(encoding="utf-8").splitlines():
+        key, _, value = line.partition(" ")
+        if key == "model":
+            return kb / value.strip()
+    raise AssertionError(f"{name}.entry names no model")
+
+
 @pytest.fixture
 def fixtures_dir() -> pathlib.Path:
     return FIXTURES

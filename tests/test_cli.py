@@ -19,9 +19,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, cardiac_text
+from conftest import FIXTURES, cardiac_text, entry_model
 from tdid.cli import main
-from tdid.metareason import CostModel, load_kb, make_entry, with_cost, write_entry
+from tdid.metareason import CostModel, load_kb, make_entry, solve_entry, with_cost, write_entry
 from tdid.model import parse, serialize
 from tdid.abstraction import abstract_time
 
@@ -412,13 +412,13 @@ def test_select_non_utf8_manifest(capsys, kb):
 
 
 def test_select_names_malformed_model_file(capsys, kb):
-    model = kb / "full.tdid"
+    model = entry_model(kb, "full")
     lines = model.read_text().splitlines()
     lines[2] = "bogus"
     model.write_text("\n".join(lines) + "\n")
     code, _, err = run(capsys, "select", kb, "--urgency", "linear:1")
     assert code == 1 and one_error_line(err)
-    assert err == "error: full.entry: full.tdid: line 3: unknown directive 'bogus'\n"
+    assert err == f"error: full.entry: {model.name}: line 3: unknown directive 'bogus'\n"
 
 
 def set_manifest_field(manifest, field, value):
@@ -431,9 +431,9 @@ def set_manifest_field(manifest, field, value):
 @pytest.mark.parametrize("where", ["../x.tdid", "/etc/hostname", "absolute"])
 def test_select_refuses_model_outside_kb(capsys, kb, where):
     # A valid model just outside the knowledge base is still refused.
-    (kb.parent / "x.tdid").write_bytes((kb / "full.tdid").read_bytes())
+    (kb.parent / "x.tdid").write_bytes(entry_model(kb, "full").read_bytes())
     if where == "absolute":
-        where = str((kb / "full.tdid").resolve())
+        where = str(entry_model(kb, "full").resolve())
     set_manifest_field(kb / "full.entry", "model", where)
     for command in ("select", "evc"):
         code, _, err = run(capsys, command, kb, "--urgency", "linear:1")
@@ -624,7 +624,7 @@ def test_module_invocation(tmp_path, fixtures_dir):
 UTF8_CHILD = """\
 import sys
 from tdid.cli import main
-from tdid.metareason import CostModel, load_kb, make_entry, with_cost, write_entry
+from tdid.metareason import CostModel, load_kb, make_entry, solve_entry, with_cost, write_entry
 from tdid.model import parse, serialize
 
 model_path, kb, out = sys.argv[1:]
@@ -660,12 +660,48 @@ def test_written_files_are_utf8_whatever_the_locale(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     for name, label in [
-        ("kb/full.tdid", "état"),
+        (entry_model(tmp_path / "kb", "full"), "état"),
         ("deployed.txt", "état"),
         ("abstract.tdid", "état"),
         ("policy.json", "arrêt"),
     ]:
         assert label.encode("utf-8") in (tmp_path / name).read_bytes(), name
+
+
+# Runs every command that solves nothing, ``evc`` on a solved knowledge base
+# included, and exits 1 if numpy was loaded: ``tdid.solve`` is imported only
+# where a command solves.
+NUMPY_FREE_CHILD = """\
+import sys
+from tdid.cli import main
+
+model_path, kb, out = sys.argv[1:]
+for argv in (
+    ["validate", model_path],
+    ["deploy", model_path, "-o", out + "/deployed.txt"],
+    ["abstract", model_path, "-o", out + "/abstract.tdid"],
+    ["evc", kb, "--urgency", "linear:0.5", "-o", out + "/curve.json"],
+):
+    assert main(argv) == 0, argv
+sys.exit("numpy" in sys.modules)
+"""
+
+
+def test_commands_that_do_not_solve_load_no_numpy(tmp_path, fixtures_dir):
+    model_path = fixtures_dir / "two_var_lagged.tdid"
+    entry, _ = solve_entry(make_entry("full", parse(model_path.read_bytes())))
+    write_entry(tmp_path / "kb", entry)
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_FREE_CHILD, str(model_path), str(tmp_path / "kb"), str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert (tmp_path / "curve.json").read_text().endswith('"model": "full"}\n')
 
 
 @pytest.mark.parametrize(

@@ -704,6 +704,25 @@ def test_renderers_refuse_a_hand_built_diagram_with_one_line(fault):
         assert str(raised.value) == message
 
 
+@pytest.mark.parametrize("fault", ["a node with two tables", "a node with two utilities"])
+def test_both_renderers_refuse_a_node_with_two_records(fault, fixtures_dir):
+    # ``emit_dot`` reads parents through ``parents_of``, which keeps one
+    # record per node, so it must check the records as ``serialize_deployed`` does.
+    hand_built, message, _ = _renderer_faults()[fault]
+    did = deploy(parse((fixtures_dir / "cardiac.tdid").read_bytes()))
+    cd = next(t for t in did.tables if t.node == ("CD", 1))
+    second = cd._replace(parents=(), rows=(cd.rows[0],))
+    cases = [
+        (hand_built, message),
+        (dataclasses.replace(did, tables=did.tables + (second,)), "deployed node CD@1 is given twice"),
+    ]
+    for diagram, want in cases:
+        for render in (serialize_deployed, emit_dot):
+            with pytest.raises(ModelError) as raised:
+                render(diagram)
+            assert str(raised.value) == want
+
+
 def test_collapse_keeps_copy_free_tables_as_they_are():
     did = deploy(cardiac_shape("dense"))
     assert not any(n.kind == COPY for n in did.nodes)

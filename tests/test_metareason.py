@@ -4,12 +4,15 @@ import dataclasses
 import math
 import os
 import shutil
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import FIXTURES, cardiac_text, entry_model
+from tdid.cli import main
 from tdid.deploy import deploy, table_entry_count
 from tdid import metareason
 from tdid.metareason import (
@@ -34,7 +37,7 @@ from tdid.metareason import (
     with_cost,
     write_entry,
 )
-from tdid.model import canonical, parse
+from tdid.model import canonical, parse, serialize
 from tdid.abstraction import (
     abstract_space,
     abstract_time,
@@ -477,7 +480,7 @@ def test_kb_reload_models_equal_fresh_parse(tmp_path, fixtures_dir):
     first, second = load_kb(kb), load_kb(kb)
     assert first == second
     for e in second:
-        assert e.model == parse((kb / f"{e.name}.tdid").read_bytes())
+        assert e.model == parse(entry_model(kb, e.name).read_bytes())
 
 
 def test_kb_reload_skips_parse_of_unchanged_files(tmp_path, fixtures_dir, monkeypatch):
@@ -493,10 +496,11 @@ def test_kb_reload_skips_parse_of_unchanged_files(tmp_path, fixtures_dir, monkey
     load_kb(kb)
     assert calls == []
     # Same bytes again: still no parse.  Different bytes: exactly one.
-    (kb / "full.tdid").write_bytes((kb / "full.tdid").read_bytes())
+    full, coarse = entry_model(kb, "full"), entry_model(kb, "coarse")
+    full.write_bytes(full.read_bytes())
     load_kb(kb)
     assert calls == []
-    (kb / "full.tdid").write_bytes((kb / "coarse.tdid").read_bytes())
+    full.write_bytes(coarse.read_bytes())
     load_kb(kb)
     assert len(calls) == 1
 
@@ -504,7 +508,7 @@ def test_kb_reload_skips_parse_of_unchanged_files(tmp_path, fixtures_dir, monkey
 def test_kb_reload_sees_rewritten_model(tmp_path, fixtures_dir):
     kb = build_kb(tmp_path, fixtures_dir)
     before = {e.name: e.model for e in load_kb(kb)}
-    (kb / "full.tdid").write_bytes((kb / "coarse.tdid").read_bytes())
+    entry_model(kb, "full").write_bytes(entry_model(kb, "coarse").read_bytes())
     after = {e.name: e.model for e in load_kb(kb)}
     assert after["full"] == before["coarse"] != before["full"]
     assert after["coarse"] == before["coarse"]
@@ -513,23 +517,24 @@ def test_kb_reload_sees_rewritten_model(tmp_path, fixtures_dir):
 def test_kb_reload_of_malformed_model_fails_like_fresh_load(tmp_path, fixtures_dir):
     kb = build_kb(tmp_path, fixtures_dir)
     load_kb(kb)
-    lines = (kb / "full.tdid").read_text().splitlines()
+    full = entry_model(kb, "full")
+    lines = full.read_text().splitlines()
     lines[2] = "bogus"
-    (kb / "full.tdid").write_text("\n".join(lines) + "\n")
+    full.write_text("\n".join(lines) + "\n")
     fresh = shutil.copytree(kb, tmp_path / "fresh")
     with pytest.raises(MetareasonError) as reloaded:
         load_kb(kb)
     with pytest.raises(MetareasonError) as first:
         load_kb(fresh)
     assert str(reloaded.value) == str(first.value)
-    expected = "full.entry: full.tdid: line 3: unknown directive 'bogus'"
+    expected = f"full.entry: {full.name}: line 3: unknown directive 'bogus'"
     assert str(first.value) == expected
 
 
 def test_kb_reload_of_deleted_model(tmp_path, fixtures_dir):
     kb = build_kb(tmp_path, fixtures_dir)
     load_kb(kb)
-    (kb / "coarse.tdid").unlink()
+    entry_model(kb, "coarse").unlink()
     with pytest.raises(MetareasonError, match="coarse.entry: cannot read model"):
         load_kb(kb)
 
@@ -548,6 +553,7 @@ def test_kb_reload_sees_rewritten_manifest(tmp_path, fixtures_dir):
 
 
 def test_kb_load_reads_both_files_of_every_entry(tmp_path, fixtures_dir, monkeypatch):
+    # Every manifest, and each distinct model file, exactly once per load.
     kb = build_kb(tmp_path, fixtures_dir)
     reads, read = [], metareason._read
 
@@ -556,8 +562,10 @@ def test_kb_load_reads_both_files_of_every_entry(tmp_path, fixtures_dir, monkeyp
         return read(path, *args, **kwargs)
 
     monkeypatch.setattr(metareason, "_read", counting_read)
+    names = ("full", "coarse")
     want = sorted(
-        str(kb / f) for f in ("full.entry", "full.tdid", "coarse.entry", "coarse.tdid")
+        [str(kb / f"{n}.entry") for n in names]
+        + list({str(entry_model(kb, n)) for n in names})
     )
     for _ in ("cold", "warm"):
         reads.clear()
@@ -576,8 +584,8 @@ def test_kb_loads_leave_no_descriptor_open(tmp_path, fixtures_dir):
         ("malformed", lambda p: p.write_text("tdid 1\nbogus\n")),
     ):
         path = shutil.copytree(kb, tmp_path / name)
-        (path / "full.tdid").unlink()
-        make(path / "full.tdid")
+        entry_model(path, "full").unlink()
+        make(entry_model(path, "full"))
         broken.append(path)
     before = len(os.listdir("/proc/self/fd"))
     for _ in range(5):
@@ -665,10 +673,10 @@ def test_construct_after_winner_model_rewritten(tmp_path, fixtures_dir, monkeypa
     kb, urgencies = build_solved_kb(tmp_path, fixtures_dir)
     problem = Problem(urgency=urgencies["full"])
     old = construct(kb, problem).policy
-    (kb / "full.tdid").write_bytes((kb / "coarse.tdid").read_bytes())
+    entry_model(kb, "full").write_bytes(entry_model(kb, "coarse").read_bytes())
     result = construct(kb, problem)
     assert result.entry.name == "full"
-    fresh = solve(deploy(parse((kb / "coarse.tdid").read_bytes())))
+    fresh = solve(deploy(parse(entry_model(kb, "coarse").read_bytes())))
     assert result.policy == fresh != old
 
 
@@ -1015,8 +1023,9 @@ def counting_parse(monkeypatch):
 
 def test_kb_load_parses_each_distinct_model_once(tmp_path, fixtures_dir, monkeypatch):
     kb = build_kb(tmp_path, fixtures_dir)
-    (kb / "again.tdid").write_bytes((kb / "coarse.tdid").read_bytes())
-    text = (kb / "coarse.entry").read_text().replace("coarse.tdid", "again.tdid")
+    coarse = entry_model(kb, "coarse")
+    (kb / "again.tdid").write_bytes(coarse.read_bytes())
+    text = (kb / "coarse.entry").read_text().replace(coarse.name, "again.tdid")
     (kb / "again.entry").write_text(text)
     calls = counting_parse(monkeypatch)
     by_name = {e.name: e for e in load_kb(kb)}
@@ -1026,9 +1035,9 @@ def test_kb_load_parses_each_distinct_model_once(tmp_path, fixtures_dir, monkeyp
     records = metareason._directories[str(kb)].records
     assert records["again.entry"].model is records["coarse.entry"].model
     for e in by_name.values():
-        assert e.model == parse((kb / f"{e.name}.tdid").read_bytes())
+        assert e.model == parse(entry_model(kb, e.name).read_bytes())
     # A model read afresh is not shared with one its load returned as held.
-    (kb / "full.tdid").write_bytes((kb / "coarse.tdid").read_bytes())
+    entry_model(kb, "full").write_bytes(coarse.read_bytes())
     after = {e.name: e for e in load_kb(kb)}
     assert len(calls) == 3
     assert after["full"].model == after["coarse"].model
@@ -1100,9 +1109,8 @@ def test_kb_store_is_bounded_and_forgets_removed_entries(
     for k in range(6):
         write_entry(many, make_entry(f"e{k}", model))
     load_kb(many)
-    for k in range(4):
+    for k in range(4):  # e4 and e5 name the one model file these name too
         (many / f"e{k}.entry").unlink()
-        (many / f"e{k}.tdid").unlink()
     assert [e.name for e in load_kb(many)] == ["e4", "e5"]
     assert sorted(metareason._directories[str(many)].records) == ["e4.entry", "e5.entry"]
 
@@ -1121,11 +1129,12 @@ def test_kb_store_holds_a_directory_once_however_it_is_spelled(
         assert list(metareason._directories) == [str(kb)]
     assert len(calls) == 2  # every later load returned the held entries
     # An error names a file by the spelling given, not by the held one.
-    (kb / "coarse.tdid").unlink()
+    coarse = entry_model(kb, "coarse")
+    coarse.unlink()
     with pytest.raises(MetareasonError) as err:
         load_kb("kb")
     assert str(err.value) == (
-        "coarse.entry: cannot read model: [Errno 2] No such file or directory: 'kb/coarse.tdid'"
+        f"coarse.entry: cannot read model: [Errno 2] No such file or directory: 'kb/{coarse.name}'"
     )
 
 
@@ -1143,3 +1152,128 @@ def test_write_entry_refuses_a_name_that_is_not_a_file_name(tmp_path, name):
 def test_entry_names_round_trip(tmp_path, name):
     write_entry(tmp_path, make_entry(name, TINY))
     assert [e.name for e in load_kb(tmp_path)] == [name]
+
+
+# --- the model-file store ----------------------------------------------------
+
+# Cardiac at T=6 under this lattice gives 12 variants and 8 distinct models:
+# dropping the damage utility leaves CD barren, so CD's time choices give
+# equal models there.
+TWINS_LATTICE = """\
+time treat : 1 3 5 | 1 4
+time CD : 1 2 3 4 5 6 | 1 3 5 | 1 4
+space damage : U_dmg
+space-choices : keep drop
+"""
+
+
+def build_twins_kb(kb):
+    model = parse(cardiac_text(6))
+    variants = enumerate_abstractions(model, parse_lattice(TWINS_LATTICE))
+    for k, v in enumerate(variants):
+        write_entry(kb, make_entry(f"v{k:02d}", v.model, v.tags))
+    return variants
+
+
+def counting_reads(monkeypatch):
+    reads, read = [], metareason._read
+
+    def counted(path, *args, **kwargs):
+        reads.append(path)
+        return read(path, *args, **kwargs)
+
+    monkeypatch.setattr(metareason, "_read", counted)
+    return reads
+
+
+def test_kb_stores_each_distinct_model_once_and_a_load_reads_it_once(tmp_path, monkeypatch):
+    kb = tmp_path / "kb"
+    variants = build_twins_kb(kb)
+    texts = {serialize(v.model) for v in variants}
+    assert (len(variants), len(texts)) == (12, 8)
+    manifests, model_files = sorted(kb.glob("*.entry")), sorted(kb.glob("*.tdid"))
+    assert (len(manifests), len(model_files)) == (12, 8)
+    assert {p.read_text(encoding="utf-8") for p in model_files} == texts
+    for p in model_files:
+        data = p.read_bytes()
+        assert p.name == f"m{zlib.crc32(data):08x}{len(data):x}.tdid"
+    # A model file no manifest names is never read.
+    (kb / "stray.tdid").write_text("not a model\n")
+    reads = counting_reads(monkeypatch)
+    for _ in ("cold", "warm"):
+        reads.clear()
+        loaded = load_kb(kb)
+        assert sorted(reads) == sorted(map(str, manifests + model_files))
+    assert [e.name for e in loaded] == [f"v{k:02d}" for k in range(12)]
+    for e, v in zip(loaded, variants):
+        assert (e.model, e.tags) == (canonical(v.model), v.tags)
+
+
+def test_kb_in_the_old_layout_loads_and_selects_alike(tmp_path, capsys):
+    # One model file per entry, named after the entry, as knowledge bases
+    # were written before model files were named by their bytes.
+    new = tmp_path / "new"
+    variants = build_twins_kb(new)
+    old = tmp_path / "old"
+    old.mkdir()
+    for manifest in sorted(new.glob("*.entry")):
+        name = manifest.name[: -len(".entry")]
+        (old / f"{name}.tdid").write_bytes(entry_model(new, name).read_bytes())
+        lines = manifest.read_text(encoding="utf-8").splitlines()
+        assert lines[0].startswith("model ")
+        text = "\n".join([f"model {name}.tdid", *lines[1:]]) + "\n"
+        (old / manifest.name).write_text(text, encoding="utf-8")
+    assert len(list(old.glob("*.tdid"))) == len(variants)
+    assert load_kb(old) == load_kb(new)
+    for command in ("select", "evc"):
+        for urgency in ("linear:0.01", "step:90,1"):
+            outputs = {}
+            for kb in (old, new):
+                out, policy = tmp_path / f"{kb.name}.json", tmp_path / f"{kb.name}-policy.json"
+                argv = [command, str(kb), "--urgency", urgency, "-o", str(out)]
+                if command == "select":
+                    argv += ["--policy-out", str(policy)]
+                assert main(argv) == 0
+                outputs[kb] = [out.read_bytes()]
+                if command == "select":
+                    outputs[kb].append(policy.read_bytes())
+            assert outputs[old] == outputs[new]
+    assert capsys.readouterr().err == ""
+
+
+def test_kb_model_file_name_taken_by_other_bytes_is_probed(tmp_path):
+    kb = tmp_path / "kb"
+    kb.mkdir()
+    model = parse((FIXTURES / "two_var_lagged.tdid").read_bytes())
+    data = serialize(model).encode("utf-8")
+    stem = f"m{zlib.crc32(data):08x}{len(data):x}"
+    taken = {f"{stem}.tdid": serialize(TINY).encode("utf-8"), f"{stem}-1.tdid": b"x\n"}
+    for name, other in taken.items():
+        (kb / name).write_bytes(other)
+    write_entry(kb, make_entry("a", model))
+    write_entry(kb, make_entry("again", model))
+    write_entry(kb, make_entry("tiny", TINY))
+    assert entry_model(kb, "a").name == entry_model(kb, "again").name == f"{stem}-2.tdid"
+    assert entry_model(kb, "a").read_bytes() == data
+    assert entry_model(kb, "tiny").name not in taken
+    assert {name: (kb / name).read_bytes() for name in taken} == taken
+    by_name = {e.name: e for e in load_kb(kb)}
+    assert by_name["a"].model == by_name["again"].model == canonical(model)
+    assert by_name["tiny"].model == canonical(TINY)
+
+
+def test_kb_rewriting_an_entry_leaves_the_entries_sharing_its_file(tmp_path):
+    kb = tmp_path / "kb"
+    model = parse((FIXTURES / "two_var_lagged.tdid").read_bytes())
+    for name in ("x", "y"):
+        write_entry(kb, make_entry(name, model))
+    shared = entry_model(kb, "x")
+    before = shared.read_bytes()
+    assert entry_model(kb, "y") == shared
+    first = {e.name: e for e in load_kb(kb)}
+    write_entry(kb, make_entry("x", TINY))
+    assert entry_model(kb, "x") != shared
+    assert entry_model(kb, "y") == shared and shared.read_bytes() == before
+    after = {e.name: e for e in load_kb(kb)}
+    assert after["y"] is first["y"]
+    assert after["x"].model == canonical(TINY)
