@@ -16,17 +16,17 @@ plus every earlier decision; only the informational parents are stored.
 
 Each model structure is validated and unrolled once: the master
 sequence, the variables, the arcs, each table's class, variable, index and
-parents, the tick and the ``barren`` flag, but not the table numbers.  Its
-plan (``_Plan``) holds each table's row and column counts and the
-unrolling as packed integer positions, for the nodes barren removal keeps
-when it is on; at most 16 plans are kept, the oldest evicted first.  A
-structure is planned only after ``validate`` passes it.  A model whose
-structure is planned still has its indices and every table number checked
-on each call, and a fault is reported with the message ``validate`` gives.
-``validate`` itself still checks everything.  Every call, the one that
-plans a structure too, builds its diagram from the plan (``_Plan.bind``):
-ids, records and parent map, with the model's own names, indices, states
-and table bodies.
+parents, and the tick, but not the table numbers.  Its plan (``_Plan``)
+holds each table's row and column counts and the unrolling of every node
+as packed integer positions; at most 16 plans are kept, the oldest evicted
+first.  A structure is planned only after ``validate`` passes it.  A model
+whose structure is planned still has its indices and every table number
+checked on each call, and a fault is reported with the message
+``validate`` gives.  ``validate`` itself still checks everything.  Every
+call, the one that plans a structure too, builds its diagram from the plan
+(``_Plan.bind``): ids, records and parent map, with the model's own names,
+indices, states and table bodies.  Barren removal is ``eliminate_barren``
+on that diagram, the one implementation of the pass.
 
 Each pass copies nothing it does not change, and one that would change
 nothing returns its input.  A diagram has one parent map: ``deploy``
@@ -42,7 +42,6 @@ import math
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
-from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from functools import cache, cached_property, partial
 from itertools import accumulate, chain, compress, count, groupby, repeat
@@ -211,18 +210,19 @@ def deploy(model: CondensedTdid, *, barren: bool = True) -> DeployedDid:
     value node are removed before returning; this never changes the
     maximum expected utility.
 
-    A structure is validated and planned once (``_plans``): a model whose
-    structure has a plan skips the structural checks of ``validate``, which
-    that structure has passed, and has its indices and table numbers
-    checked; any fault is reported by ``validate`` itself.  Every model is
-    then bound to its structure's plan; a field that cannot be hashed is refused.
+    A structure is validated and planned once (``_plans``), whichever
+    ``barren`` is: a model whose structure has a plan skips the structural
+    checks of ``validate``, which that structure has passed, and has its
+    indices and table numbers checked; any fault is reported by
+    ``validate`` itself.  Every model is then bound to its structure's
+    plan, and ``eliminate_barren`` cuts the bound diagram; a field that
+    cannot be hashed is refused.
     """
     # The key holds the structure's fields as plain tuples, which hash and
     # compare in C, where the records' own hash and equality run in Python.
     # A table's class is part of it: ``validate`` tells a CPT from a utility
     # by it.
     key = (
-        barren,
         model.master,
         tuple([(v.name, v.kind, v.states, v.times) for v in model.variables]),
         tuple([(a.src, a.dst, a.kind) for a in model.arcs]),
@@ -233,7 +233,7 @@ def deploy(model: CondensedTdid, *, barren: bool = True) -> DeployedDid:
     try:
         plan = _plans.get(key)
     except TypeError:  # a hand-built field: name the first that does not hash
-        for field, part in zip(fields(model), key[1:]):
+        for field, part in zip(fields(model), key):
             try:
                 hash(part)
             except TypeError:
@@ -244,9 +244,10 @@ def deploy(model: CondensedTdid, *, barren: bool = True) -> DeployedDid:
         if problems:
             raise ModelError("invalid model: " + "; ".join(problems))
     if plan is None:
-        plan = _Plan.of(model, barren)
+        plan = _Plan.of(model)
         remember(_plans, key, plan, _PLAN_CAP)
-    return plan.bind(model)
+    did = plan.bind(model)
+    return eliminate_barren(did) if barren else did
 
 
 # Deployment plans by structure (the key ``deploy`` builds), oldest first
@@ -269,10 +270,10 @@ class _Plan(NamedTuple):
     """A structure's unrolling as positions, and each table's row and
     column counts (``shapes``) for the numeric checks.
 
-    Per node, in node order, and only the nodes barren removal keeps when
-    it is on: its variable's position in ``model.variables`` (``var``), its
-    slice's position in ``model.master`` (``at``), its kind's in ``_KINDS``,
-    and its parents as node positions, every node's one after another in
+    Per node of the unrolling, in node order, barren or not: its
+    variable's position in ``model.variables`` (``var``), its slice's
+    position in ``model.master`` (``at``), its kind's in ``_KINDS``, and its
+    parents as node positions, every node's one after another in
     ``parents`` with each node's end in ``ends``.  Per table, its node's
     position and its body's (``bodies``): a position in ``model.cpds``, or
     past them, a position in ``copied``, the variables whose identity rows
@@ -296,11 +297,11 @@ class _Plan(NamedTuple):
     decisions: array
 
     @classmethod
-    def of(cls, model: CondensedTdid, barren: bool) -> _Plan:
-        """The plan of a valid model: its structure unrolled once, then,
-        with ``barren``, cut to the nodes barren removal keeps.  Each body
-        is recorded by its table's position, never by the body object,
-        which a hand-built model can share between tables."""
+    def of(cls, model: CondensedTdid) -> _Plan:
+        """The plan of a valid model: its structure unrolled once, every
+        node kept.  Each body is recorded by its table's position, never by
+        the body object, which a hand-built model can share between
+        tables."""
         variables, master = model.variables, model.master
         n = len(variables)
         names = [v.name for v in variables]
@@ -370,70 +371,37 @@ class _Plan(NamedTuple):
                 (j, times, explicit.get(v.name), shared, tuple(slots(reads)), body, *add[v.kind])
             )
             valued.append(times if v.kind == VALUE else None)
-        # The indices where every variable has a node.
-        full = set(master).intersection(*(t for t in valued if t is not None))
 
-        read, add_parents = ids.__getitem__, parents_of.append
-        complete = False
         for m, i in enumerate(master):
             # The variables with a node here, and their nodes' positions.
-            k = len(var)
-            if i in full:
-                here = range(n)
-                ids[:n] = range(k, k + n)
-            else:
-                here = [j for j, times in enumerate(valued) if times is None or i in times]
-                for j, node in zip(here, count(k)):
-                    ids[j] = node
+            here = [j for j, times in enumerate(valued) if times is None or i in times]
+            for j, node in zip(here, count(len(var))):
+                ids[j] = node
             var += here
             at += repeat(m, len(here))
-            # Once every variable has an earlier indexed slice, every slot
-            # is filled.
-            complete = complete or None not in ids[n:]
             indexed = []
             for j, times, own, source, reads, body, node_at, source_at in per_var:
                 if i in times:
                     indexed.append(j)
                     if own:
                         source, reads = own.get(i, (source, reads))
-                    if complete:
-                        add_parents(list(map(read, reads)))
-                    else:  # a lag parent with no earlier indexed slice is absent
-                        add_parents([ids[s] for s in reads if ids[s] is not None])
+                    # A lag parent with no earlier indexed slice is absent.
+                    parents_of.append([ids[s] for s in reads if ids[s] is not None])
                     node_at(ids[j])
                     source_at(source)
                 elif body is not None:  # value variables get no copies
                     copies.append(ids[j])
-                    add_parents([ids[n + j]])
+                    parents_of.append([ids[n + j]])
                     tables.append(ids[j])
                     bodies.append(body)
-            if len(indexed) == n:
-                ids[n:] = ids[:n]
-            else:
-                for j in indexed:
-                    ids[n + j] = ids[j]
+            for j in indexed:
+                ids[n + j] = ids[j]
         # Each node's kind is its variable's, but a copy's.
         kind = list(map([_KINDS.index(v.kind) for v in variables].__getitem__, var))
         for node in copies:
             kind[node] = _KINDS.index(COPY)
 
         decisions = _order_decisions(decisions, var, at, names, parents_of)
-        if barren:
-            keep = _not_barren(dict(enumerate(parents_of)), utilities, decisions)
-            if len(keep) < len(var):
-                # The kept nodes, renumbered in order, and what is theirs.
-                positions = range(len(var))
-                var, at, kind, parents_of = (
-                    list(_kept(keep, x, positions)) for x in (var, at, kind, parents_of)
-                )
-                new = dict(zip(_kept(keep, positions, positions), count()))
-                parents_of = [list(map(new.__getitem__, ps)) for ps in parents_of]
-                bodies = list(_kept(new, bodies, tables))
-                values = list(_kept(new, values, utilities))
-                tables, utilities, decisions = (
-                    list(map(new.__getitem__, _kept(new, x, x)))
-                    for x in (tables, utilities, decisions)
-                )
         ends = list(accumulate(map(len, parents_of)))
         parents = list(chain.from_iterable(parents_of))
         packed = var, at, kind, parents, ends, tables, bodies, copied, utilities, values, decisions
@@ -541,9 +509,6 @@ def _order_decisions(decisions, var, at, names, parents_of) -> list[int]:
     out: list[int] = []
     for i, group in groupby(decisions, key=at.__getitem__):
         waiting = sorted(group, key=lambda d: names[var[d]])
-        if len(waiting) == 1:  # no other decision of its slice to order
-            out += waiting
-            continue
         # Only same-slice paths can order two decisions of one slice: lag and
         # copy arcs run strictly forward in time, so walk instantaneous arcs.
         # A slice's nodes are consecutive, ``first`` up to ``end``, so a
@@ -576,16 +541,11 @@ def eliminate_barren(did: DeployedDid) -> DeployedDid:
     run forward, so a decision after D* reaches only nodes that are
     stripped too.  The maximum expected utility is unchanged.
     """
-    return _restrict(did, _not_barren(did.parents_of, did.value_nodes, did.decision_order))
-
-
-def _not_barren(parents_of, value_nodes, order) -> set:
-    """The nodes ``eliminate_barren`` keeps, given every node's parents,
-    the value nodes and the decisions in decision order."""
-    keep = _ancestors(parents_of, value_nodes)
+    parents_of, order = did.parents_of, did.decision_order
+    keep = _ancestors(parents_of, did.value_nodes)
     cut = max((k + 1 for k, d in enumerate(order) if d in keep), default=0)
     _ancestors(parents_of, order[:cut], out=keep)
-    return keep
+    return _restrict(did, keep)
 
 
 def _restrict(did: DeployedDid, keep: set[NodeId]) -> DeployedDid:
@@ -596,7 +556,8 @@ def _restrict(did: DeployedDid, keep: set[NodeId]) -> DeployedDid:
         return did
 
     def kept(records, node=itemgetter(0)):
-        return tuple(_kept(keep, records, map(node, records)))
+        # Made from a list, at its exact size (see ``_Plan.bind``).
+        return tuple(list(compress(records, map(keep.__contains__, map(node, records)))))
 
     out = DeployedDid(
         did.slices,
@@ -605,14 +566,7 @@ def _restrict(did: DeployedDid, keep: set[NodeId]) -> DeployedDid:
         kept(did.utilities),
         kept(did.decisions),
     )
-    return _seeded(out, dict(_kept(keep, parents_of.items(), parents_of)))
-
-
-def _kept(keep, records, nodes) -> Iterator:
-    """The ``records`` whose node, given in ``nodes`` in the same order, is
-    in ``keep``: the one filter of barren removal, on node ids
-    (``_restrict``) and on node positions (``_Plan.of``)."""
-    return compress(records, map(keep.__contains__, nodes))
+    return _seeded(out, {n: ps for n, ps in parents_of.items() if n in keep})
 
 
 def _copy_sources(did: DeployedDid, index) -> dict[NodeId, NodeId]:

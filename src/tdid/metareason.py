@@ -586,12 +586,17 @@ def _read_entry(
 def write_entry(kb_dir, entry: SuiteEntry) -> pathlib.Path:
     """Write the entry's model file, unless the directory already holds
     its bytes (see ``_model_file``), then ``<name>.entry`` naming it.  The
-    name must be a file name, so that ``load_kb`` reads the entry back."""
+    name must be a file name in UTF-8, so that ``load_kb`` reads the entry
+    back."""
     if not entry.name or {"\0", os.sep, os.altsep} & set(entry.name):
         raise MetareasonError(
             f"entry name {entry.name!r} must be a nonempty file name, "
             "without a path separator or NUL"
         )
+    try:
+        entry.name.encode("utf-8")
+    except UnicodeEncodeError:
+        raise MetareasonError(f"entry name {entry.name!r} must be valid UTF-8") from None
     kb_dir = pathlib.Path(kb_dir)
     kb_dir.mkdir(parents=True, exist_ok=True)
     model_file = _model_file(kb_dir, serialize_model(entry.model).encode("utf-8"))

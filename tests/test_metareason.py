@@ -1148,6 +1148,15 @@ def test_write_entry_refuses_a_name_that_is_not_a_file_name(tmp_path, name):
     assert list(kb.rglob("*")) == [kb / "a"]
 
 
+def test_write_entry_refuses_a_name_that_is_not_utf8_and_writes_nothing(tmp_path):
+    kb = tmp_path / "kb"
+    kb.mkdir()
+    with pytest.raises(MetareasonError) as err:
+        write_entry(kb, make_entry("\udcff", TINY))
+    assert str(err.value) == "entry name '\\udcff' must be valid UTF-8"
+    assert list(kb.iterdir()) == []
+
+
 @pytest.mark.parametrize("name", [".", "..", "x.entry", "a b", "é"])
 def test_entry_names_round_trip(tmp_path, name):
     write_entry(tmp_path, make_entry(name, TINY))

@@ -24,6 +24,7 @@ from tdid.deploy import (
     DeployedUtility,
     SliceNode,
     deploy,
+    eliminate_barren,
     serialize_deployed,
 )
 from tdid.model import CHANCE, DECISION, INST, LAG, VALUE, parse
@@ -197,3 +198,27 @@ def test_kb_select_variants_deploy_as_the_reference():
     assert len(variants) == 486
     for v in variants:
         check(v.model)
+
+
+def _one_plan_models():
+    """Cardiac at T=1..5, the corpora, barren-heavy cardiac at T=80 and the
+    kb-select variants."""
+    yield from (parse(cardiac_text(t)) for t in range(1, 6))
+    binary = corpus(60, seed=7)
+    multi = corpus(40, seed=5, max_policies=4096, states=(2, 4), with_decision=True)
+    yield from (m for m, _ in binary + multi)
+    yield cardiac_shape("barren-heavy", 80)
+    variants = enumerate_abstractions(parse(cardiac_text(6)), parse_lattice(KB_LATTICE))
+    assert len(variants) == 486
+    yield from (v.model for v in variants)
+
+
+def test_barren_removal_is_eliminate_barren_on_the_one_plan_of_a_structure():
+    for m in _one_plan_models():
+        tdid.deploy._plans.clear()
+        miss, kept, hit = deploy(m), deploy(m, barren=False), deploy(m)
+        assert len(tdid.deploy._plans) == 1
+        want = eliminate_barren(kept)
+        for got in (miss, hit):
+            assert serialize_deployed(got) == serialize_deployed(want)
+            assert list(got.parents_of.items()) == list(want.parents_of.items())
