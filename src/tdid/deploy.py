@@ -14,19 +14,16 @@ The result carries an implicit super value node: total utility is the sum
 over all value nodes.  Decision nodes observe their informational parents
 plus every earlier decision; only the informational parents are stored.
 
-Each model structure is validated and unrolled once: the master
-sequence, the variables, the arcs, each table's class, variable, index and
-parents, and the tick, but not the table numbers.  Its plan (``_Plan``)
-holds each table's row and column counts and the unrolling of every node
-as packed integer positions; at most 16 plans are kept, the oldest evicted
-first.  A structure is planned only after ``validate`` passes it.  A model
-whose structure is planned still has its indices and every table number
-checked on each call, and a fault is reported with the message
-``validate`` gives.  ``validate`` itself still checks everything.  Every
-call, the one that plans a structure too, builds its diagram from the plan
-(``_Plan.bind``): ids, records and parent map, with the model's own names,
-indices, states and table bodies.  Barren removal is ``eliminate_barren``
-on that diagram, the one implementation of the pass.
+A model structure (the master sequence, the variables, the arcs, each
+table's class, variable, index and parents, and the tick, not the table
+numbers) is validated and planned once, and at most 16 plans are kept,
+the oldest evicted first.  A plan (``_Plan.of``) is one walk over the
+master sequence that records every node, barren or not, as packed integer
+positions.  A planned structure's later models have their indices and
+table numbers checked, a fault reported with ``validate``'s message.  Every
+call builds its diagram from the plan (``_Plan.bind``) with the model's own
+names, indices, states and table bodies; barren removal is then
+``eliminate_barren`` on that diagram, the one implementation of the pass.
 
 Each pass copies nothing it does not change, and one that would change
 nothing returns its input.  A diagram has one parent map: ``deploy``
@@ -40,11 +37,10 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass, fields
 from functools import cache, cached_property, partial
-from itertools import accumulate, chain, compress, count, groupby, repeat
+from itertools import chain, compress, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -53,7 +49,6 @@ from .model import (
     CHANCE,
     DECISION,
     INST,
-    LAG,
     VALUE,
     CondensedTdid,
     ModelError,
@@ -267,8 +262,9 @@ def _packed(values: list[int]) -> array:
 
 
 class _Plan(NamedTuple):
-    """A structure's unrolling as positions, and each table's row and
-    column counts (``shapes``) for the numeric checks.
+    """A structure's unrolling as positions, built by ``of`` in one walk
+    over the master sequence, and each table's row and column counts
+    (``shapes``) for the numeric checks.
 
     Per node of the unrolling, in node order, barren or not: its
     variable's position in ``model.variables`` (``var``), its slice's
@@ -298,112 +294,71 @@ class _Plan(NamedTuple):
 
     @classmethod
     def of(cls, model: CondensedTdid) -> _Plan:
-        """The plan of a valid model: its structure unrolled once, every
-        node kept.  Each body is recorded by its table's position, never by
-        the body object, which a hand-built model can share between
-        tables."""
-        variables, master = model.variables, model.master
-        n = len(variables)
-        names = [v.name for v in variables]
+        """The plan of a valid model: one walk over the master sequence,
+        every node kept.  Each body is recorded by its table's position,
+        never by the body object, which a hand-built model can share
+        between tables."""
+        variables, master, cpds = model.variables, model.master, model.cpds
         # A valid model's tables have the sizes its structure gives them: a
         # CPT a row per joint parent state, each with an entry per state,
         # and a utility a value per joint parent state (a value variable
         # has no states).
         shapes = tuple(
-            [(len(t.table), len(t.table[0])) for t in model.cpds]
+            [(len(t.table), len(t.table[0])) for t in cpds]
             + [(len(u.values), 0) for u in model.utilities]
         )
-        # Each (variable, role) parent's slot in ``ids``, which holds, per
-        # variable, the position of its node at the slice being deployed (an
-        # instantaneous parent) and then that of its node at its most recent
-        # indexed slice strictly before it (a lag parent, and what a copy
-        # reads), None while it has none.
-        slot = {}
-        for j, name in enumerate(names):
-            slot[name, INST] = j
-            slot[name, LAG] = n + j
-        slots = partial(map, slot.__getitem__)
-        ids = [None] * (2 * n)
-        # Per variable, its explicit tables: by index, the table's position
-        # and parent slots.  Every other indexed chance or value node takes
-        # its variable's stationary table.
-        explicit: dict = {}
-        for pool, index in (
-            (model.cpds, model._cpd_positions),
-            (model.utilities, model._utility_positions),
-        ):
-            for (name, i), k in index.items():
-                if i is not None:
-                    explicit.setdefault(name, {})[i] = k, tuple(slots(pool[k].parents))
-
-        var, at, parents_of, copies, copied = [], [], [], [], []
+        indexed = [set(v.times) for v in variables]
+        copied = [
+            j for j, v in enumerate(variables) if v.kind != VALUE and len(v.times) < len(master)
+        ]
+        var, at, kind, parents, ends = [], [], [], [], []
         tables, bodies, utilities, values, decisions = [], [], [], [], []
-        add = {
-            CHANCE: (tables.append, bodies.append),
-            VALUE: (utilities.append, values.append),
-            DECISION: (decisions.append, [].append),
-        }
-        # Per variable, what its nodes share: its indices, its explicit
-        # tables, its stationary table's position (None: none), the slots of
-        # its parents, its copies' body (None: no copies), and where a
-        # node's position and source go.  A decision's parents are the same
-        # at every index but the first (see ``parent_signature``); there no
-        # lag slot is filled, so its lag parents drop out below.  A value
-        # variable has nodes at its own indices only (``valued``), every
-        # other variable at every index.
-        per_var, valued = [], []
-        for j, v in enumerate(variables):
-            times = set(v.times)
-            body = None
-            if v.kind != VALUE and len(times) < len(master):
-                body = len(model.cpds) + len(copied)
-                copied.append(j)
-            if v.kind == DECISION:
-                shared, reads = None, parent_signature(model, v.name, master[-1])
-            else:
-                pool, index = (
-                    (model.utilities, model._utility_positions) if v.kind == VALUE
-                    else (model.cpds, model._cpd_positions)
-                )
-                shared = index.get((v.name, None))
-                reads = () if shared is None else pool[shared].parents
-            per_var.append(
-                (j, times, explicit.get(v.name), shared, tuple(slots(reads)), body, *add[v.kind])
-            )
-            valued.append(times if v.kind == VALUE else None)
-
+        last = {}  # each variable's node at its latest indexed slice so far
         for m, i in enumerate(master):
-            # The variables with a node here, and their nodes' positions.
-            here = [j for j, times in enumerate(valued) if times is None or i in times]
-            for j, node in zip(here, count(len(var))):
-                ids[j] = node
-            var += here
-            at += repeat(m, len(here))
-            indexed = []
-            for j, times, own, source, reads, body, node_at, source_at in per_var:
-                if i in times:
-                    indexed.append(j)
-                    if own:
-                        source, reads = own.get(i, (source, reads))
-                    # A lag parent with no earlier indexed slice is absent.
-                    parents_of.append([ids[s] for s in reads if ids[s] is not None])
-                    node_at(ids[j])
-                    source_at(source)
-                elif body is not None:  # value variables get no copies
-                    copies.append(ids[j])
-                    parents_of.append([ids[n + j]])
-                    tables.append(ids[j])
-                    bodies.append(body)
-            for j in indexed:
-                ids[n + j] = ids[j]
-        # Each node's kind is its variable's, but a copy's.
-        kind = list(map([_KINDS.index(v.kind) for v in variables].__getitem__, var))
-        for node in copies:
-            kind[node] = _KINDS.index(COPY)
-
-        decisions = _order_decisions(decisions, var, at, names, parents_of)
-        ends = list(accumulate(map(len, parents_of)))
-        parents = list(chain.from_iterable(parents_of))
+            # The variables with a node here, in declaration order, and their
+            # nodes: a value variable has nodes at its own indices only.
+            here = [j for j, v in enumerate(variables) if v.kind != VALUE or i in indexed[j]]
+            now = {variables[j].name: node for node, j in enumerate(here, len(var))}
+            within = {}  # the parents of this slice's nodes
+            fresh, ours = [], []  # the indexed nodes, and the decisions
+            for j, node in zip(here, now.values()):
+                v = variables[j]
+                if i not in indexed[j]:  # a copy reads its last indexed node
+                    kind.append(_KINDS.index(COPY))
+                    reads = [last[v.name]]
+                    tables.append(node)
+                    bodies.append(len(cpds) + copied.index(j))
+                else:
+                    kind.append(_KINDS.index(v.kind))
+                    if v.kind == DECISION:
+                        sig = parent_signature(model, v.name, i)
+                        ours.append((v.name, node))
+                    else:  # an explicit table at i, else the stationary one
+                        pool, index, nodes, sources = (
+                            (cpds, model._cpd_positions, tables, bodies) if v.kind == CHANCE
+                            else (model.utilities, model._utility_positions, utilities, values)
+                        )
+                        k = index.get((v.name, i), index.get((v.name, None)))
+                        sig = pool[k].parents
+                        nodes.append(node)
+                        sources.append(k)
+                    reads = [now[p] if role == INST else last[p] for p, role in sig]
+                    fresh.append((v.name, node))
+                var.append(j)
+                at.append(m)
+                parents += reads
+                ends.append(len(parents))
+                within[node] = reads
+            # The slice's decisions by name, each after any other that reaches
+            # it through this slice's nodes, all of them: lag and copy arcs run
+            # forward in time, so the walk stops at an earlier slice's node.
+            waiting = [d for _, d in sorted(ours)]
+            reach = {d: _ancestors(within, within[d]) for d in waiting}
+            while waiting:
+                d = next(d for d in waiting if reach[d].isdisjoint(waiting))
+                decisions.append(d)
+                waiting.remove(d)
+            last.update(fresh)
         packed = var, at, kind, parents, ends, tables, bodies, copied, utilities, values, decisions
         return cls(shapes, *map(_packed, packed))
 
@@ -496,36 +451,6 @@ def _split(parents: list, ends) -> list[tuple]:
     instead, can have 20 items, and CPython 3.11 never reuses a freed tuple
     of 20 items from its free list."""
     return list(map(tuple, map(parents.__getitem__, map(slice, chain((0,), ends), ends))))
-
-
-def _order_decisions(decisions, var, at, names, parents_of) -> list[int]:
-    """Total order over decision nodes, given by position in slice order:
-    by slice, then topologically within a slice (a decision that can
-    influence another — possibly through intermediate chance nodes — acts
-    first), then by name.  Per node position, ``var`` and ``at`` give its
-    variable's and its slice's positions, and ``parents_of`` its parents'
-    positions.  Name, not declaration order, breaks ties so the order is
-    stable under permuting the model's variable declarations."""
-    out: list[int] = []
-    for i, group in groupby(decisions, key=at.__getitem__):
-        waiting = sorted(group, key=lambda d: names[var[d]])
-        # Only same-slice paths can order two decisions of one slice: lag and
-        # copy arcs run strictly forward in time, so walk instantaneous arcs.
-        # A slice's nodes are consecutive, ``first`` up to ``end``, so a
-        # parent in it is one at or after its first node.  Every node of
-        # the slice is walked: one declared after both decisions can still
-        # lie on a path between them.
-        first, end = bisect_left(at, i), bisect_right(at, i)
-        within = {k: [p for p in parents_of[k] if p >= first] for k in range(first, end)}
-        anc = {d: _ancestors(within, (d,)) - {d} for d in waiting}
-        while waiting:
-            # Kahn step: take the first decision (by name) no other waiting
-            # decision can influence.  Instantaneous arcs are acyclic, so
-            # one always exists.
-            d = next(d for d in waiting if anc[d].isdisjoint(waiting))
-            out.append(d)
-            waiting.remove(d)
-    return out
 
 
 def eliminate_barren(did: DeployedDid) -> DeployedDid:

@@ -95,6 +95,8 @@ class SuiteEntry:
     def __post_init__(self):
         if not 0 <= self.cost_time < math.inf:
             raise _bad_cost(self.name)
+        if self.quality is not None and not math.isfinite(self.quality):
+            raise MetareasonError(f"entry {self.name!r}: quality {self.quality!r} is not finite")
         if self.space_size < 1:
             raise MetareasonError(f"entry {self.name!r}: empty deployed model")
         if self.n_intervals < 0:
@@ -586,8 +588,9 @@ def _read_entry(
 def write_entry(kb_dir, entry: SuiteEntry) -> pathlib.Path:
     """Write the entry's model file, unless the directory already holds
     its bytes (see ``_model_file``), then ``<name>.entry`` naming it.  The
-    name must be a file name in UTF-8, so that ``load_kb`` reads the entry
-    back."""
+    name must be a file name and each tag a word without ``#``, in UTF-8,
+    so that ``load_kb`` reads the entry back.  A model file written here is
+    removed again if the manifest cannot be written."""
     if not entry.name or {"\0", os.sep, os.altsep} & set(entry.name):
         raise MetareasonError(
             f"entry name {entry.name!r} must be a nonempty file name, "
@@ -597,9 +600,16 @@ def write_entry(kb_dir, entry: SuiteEntry) -> pathlib.Path:
         entry.name.encode("utf-8")
     except UnicodeEncodeError:
         raise MetareasonError(f"entry name {entry.name!r} must be valid UTF-8") from None
+    for tag in entry.tags:
+        # A tag with no UTF-8 form (a lone surrogate) changes when encoded.
+        if tag.split() != [tag] or "#" in tag or tag.encode("utf-8", "replace").decode() != tag:
+            raise MetareasonError(
+                f"entry {entry.name!r}: tag {tag!r} must be nonempty UTF-8, "
+                "without whitespace or '#'"
+            )
     kb_dir = pathlib.Path(kb_dir)
     kb_dir.mkdir(parents=True, exist_ok=True)
-    model_file = _model_file(kb_dir, serialize_model(entry.model).encode("utf-8"))
+    model_file, written = _model_file(kb_dir, serialize_model(entry.model).encode("utf-8"))
     lines = [
         f"model {model_file}",
         f"quality {'unsolved' if entry.quality is None else fmt_float(entry.quality)}",
@@ -610,28 +620,33 @@ def write_entry(kb_dir, entry: SuiteEntry) -> pathlib.Path:
     if entry.tags:
         lines.append("tags " + " ".join(entry.tags))
     out = kb_dir / f"{entry.name}.entry"
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    except OSError:
+        if written:  # a reused file may be another entry's model
+            (kb_dir / model_file).unlink()
+        raise
     return out
 
 
-def _model_file(kb_dir: pathlib.Path, data: bytes) -> str:
+def _model_file(kb_dir: pathlib.Path, data: bytes) -> tuple[str, bool]:
     """The name of a model file in ``kb_dir`` holding ``data``, written
-    there unless one is already.  The name is ``m<crc32><length>.tdid``
-    (both hex) of ``data``, or, where a file of that name holds other
-    bytes, the first of ``-1``, ``-2``, ... inserted before ``.tdid`` that
-    is free or holds ``data``.  No file is ever rewritten, so the entries
-    naming one keep their model."""
+    there unless one is already, and whether it was written.  The name is
+    ``m<crc32><length>.tdid`` (both hex) of ``data``, or, where a file of
+    that name holds other bytes, the first of ``-1``, ``-2``, ... inserted
+    before ``.tdid`` that is free or holds ``data``.  No file is ever
+    rewritten, so the entries naming one keep their model."""
     stem = f"m{zlib.crc32(data):08x}{len(data):x}"
     for k in count():
         name = f"{stem}-{k}.tdid" if k else f"{stem}.tdid"
         try:
             with open(kb_dir / name, "xb") as fh:
                 fh.write(data)
-            return name
+            return name, True
         except FileExistsError:
             try:
                 if _read(str(kb_dir / name)) == data:
-                    return name
+                    return name, False
             except OSError:
                 pass  # not a readable file holding data: try the next name
 

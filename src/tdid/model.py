@@ -24,6 +24,7 @@ import os
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property
+from graphlib import CycleError, TopologicalSorter
 from itertools import chain, repeat
 from math import isfinite
 from operator import le
@@ -460,33 +461,18 @@ def _number_faults(t, n_rows: int, n_cols: int) -> list[str]:
 
 
 def _inst_cycle(model: CondensedTdid) -> list[str] | None:
-    """Find one cycle among instantaneous arcs, or None.
-
-    Depth-first search with an explicit stack, so arbitrarily long chains
-    stay within the interpreter's recursion limit.
-    """
-    children: dict[str, list[str]] = {v.name: [] for v in model.variables}
+    """One cycle among instantaneous arcs, or None: the one ``graphlib``
+    finds from each variable, and along arcs, in declaration order."""
+    graph = TopologicalSorter()
+    for v in model.variables:
+        graph.add(v.name)
     for a in model.arcs:
-        if a.kind == INST and a.src in children and a.dst in children:
-            children[a.src].append(a.dst)
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in children}
-    for root in children:
-        if color[root] != WHITE:
-            continue
-        color[root] = GRAY
-        path, pending = [root], [iter(children[root])]
-        while pending:
-            c = next(pending[-1], None)
-            if c is None:
-                color[path.pop()] = BLACK
-                pending.pop()
-            elif color[c] == GRAY:
-                return path[path.index(c):] + [c]
-            elif color[c] == WHITE:
-                color[c] = GRAY
-                path.append(c)
-                pending.append(iter(children[c]))
+        if a.kind == INST and model.has_variable(a.src) and model.has_variable(a.dst):
+            graph.add(a.dst, a.src)
+    try:
+        graph.prepare()
+    except CycleError as err:
+        return err.args[1]
     return None
 
 

@@ -1163,6 +1163,48 @@ def test_entry_names_round_trip(tmp_path, name):
     assert [e.name for e in load_kb(tmp_path)] == [name]
 
 
+@pytest.mark.parametrize("q", [math.inf, -math.inf, math.nan])
+def test_entry_refuses_a_quality_that_is_not_finite(q):
+    # Written, inf would make load_kb refuse the whole directory, and NaN
+    # would fail the manifest's formatting after the model file is written.
+    with pytest.raises(MetareasonError) as err:
+        dataclasses.replace(make_entry("a", TINY), quality=q)
+    assert str(err.value) == f"entry 'a': quality {q!r} is not finite"
+
+
+@pytest.mark.parametrize("tags", [("x y",), ("",), ("x", ""), (" x",), ("a#b",), ("\udcff",)])
+def test_write_entry_refuses_a_tag_that_would_not_read_back_and_writes_nothing(tmp_path, tags):
+    kb = tmp_path / "kb"
+    with pytest.raises(MetareasonError) as err:
+        write_entry(kb, make_entry("a", TINY, tags))
+    assert "\n" not in str(err.value) and "without whitespace or '#'" in str(err.value)
+    assert not kb.exists()
+
+
+def test_entry_tags_round_trip(tmp_path):
+    tags = ("é", "time:all=1,2", "x.y")
+    write_entry(tmp_path, make_entry("a", TINY, tags))
+    assert [e.tags for e in load_kb(tmp_path)] == [tags]
+
+
+def test_write_entry_removes_only_the_model_file_it_wrote_when_the_manifest_fails(tmp_path):
+    kb = tmp_path / "kb"
+    kb.mkdir()
+    (kb / "x.entry").mkdir()  # no manifest can be written there
+    for name in ("a" * 300, "x"):
+        with pytest.raises(OSError):
+            write_entry(kb, make_entry(name, TINY))
+        assert sorted(p.name for p in kb.iterdir()) == ["x.entry"]
+    # A model file that another entry names is reused, and stays.
+    write_entry(kb, make_entry("y", TINY))
+    shared = entry_model(kb, "y")
+    with pytest.raises(OSError):
+        write_entry(kb, make_entry("x", TINY))
+    assert sorted(p.name for p in kb.iterdir()) == sorted(["x.entry", "y.entry", shared.name])
+    (kb / "x.entry").rmdir()
+    assert [e.name for e in load_kb(kb)] == ["y"]
+
+
 # --- the model-file store ----------------------------------------------------
 
 # Cardiac at T=6 under this lattice gives 12 variants and 8 distinct models:
