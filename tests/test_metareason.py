@@ -37,7 +37,7 @@ from tdid.metareason import (
     with_cost,
     write_entry,
 )
-from tdid.model import canonical, parse, serialize
+from tdid.model import ModelFormatError, canonical, parse, serialize
 from tdid.abstraction import (
     abstract_space,
     abstract_time,
@@ -460,6 +460,25 @@ def test_kb_errors(tmp_path):
     (bad / "x.entry").write_text("model x.tdid\nquality 1\n")
     with pytest.raises(MetareasonError, match="missing"):
         load_kb(bad)
+
+
+def test_kb_manifest_skips_blank_and_comment_lines(tmp_path, fixtures_dir):
+    kb = build_kb(tmp_path, fixtures_dir)
+    want = load_kb(kb)
+    manifest = kb / "full.entry"
+    lines = manifest.read_text().splitlines()
+    lines[1:1] = ["", "   ", "# a note", "  # an indented note"]
+    manifest.write_text("\n".join(lines) + "\n")
+    assert load_kb(kb) == want
+
+
+def test_kb_manifest_refuses_a_duplicated_key(tmp_path, fixtures_dir):
+    kb = build_kb(tmp_path, fixtures_dir)
+    manifest = kb / "full.entry"
+    manifest.write_text(manifest.read_text() + "cost 1\n")
+    with pytest.raises(ModelFormatError) as err:
+        load_kb(kb)
+    assert str(err.value) == "line 7: duplicate 'cost' in full.entry"
 
 
 def build_kb(tmp_path, fixtures_dir, alpha=0.1, beta=1.0):

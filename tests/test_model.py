@@ -1,5 +1,6 @@
 """Condensed model: validation, parsing, canonical serialization."""
 
+import dataclasses
 import json
 import os
 
@@ -563,3 +564,98 @@ def test_read_returns_files_of_any_length_whole(tmp_path, size):
         assert _read("shown in errors", dir_fd=fd, name="f") == data
     finally:
         os.close(fd)
+
+
+# --- messages of faults that parse never builds ----------------------------
+
+
+def _faulty_models():
+    """MINIMAL (X with one table at 1, U reading X) with one hand-built
+    fault each; over master 1 2, X and U have stationary tables."""
+    m = parse(MINIMAL)
+    (x, u), (cpd,), (util,) = m.variables, m.cpds, m.utilities
+    edit = dataclasses.replace
+    two = edit(
+        m,
+        master=(1, 2),
+        variables=(edit(x, times=(1, 2)), edit(u, times=(1, 2))),
+        cpds=(edit(cpd, time_index=None),),
+        utilities=(edit(util, time_index=None),),
+    )
+    return {
+        "invalid identifier": edit(
+            m, variables=(x, u, TemporalVariable("9Z", CHANCE, ("a", "b"), (1,)))
+        ),
+        "duplicate name": edit(m, variables=(x, u, x)),
+        "unknown kind": edit(
+            m, variables=(x, u, TemporalVariable("Z", "hidden", ("a", "b"), (1,)))
+        ),
+        "value states": edit(m, variables=(x, edit(u, states=("a",)))),
+        "one state": edit(m, variables=(edit(x, states=("a",)), u)),
+        "arc kind": edit(m, arcs=m.arcs + (Arc("X", "U", "both"),)),
+        "empty times": edit(m, variables=(edit(x, times=()), u)),
+        "not increasing": edit(
+            two, variables=(edit(x, times=(1, 2, 2)), two.variables[1])
+        ),
+        "undeclared table": edit(m, cpds=(cpd, edit(cpd, variable="W"))),
+        "cpd of a value": edit(m, cpds=(cpd, TabularCpd("U", 1, (), ((1.0,),)))),
+        "duplicate table": edit(m, cpds=(cpd, cpd)),
+        "index outside": edit(
+            two,
+            variables=(x, two.variables[1]),
+            cpds=(cpd, edit(cpd, time_index=2)),
+        ),
+        "undeclared parent": edit(m, cpds=(edit(cpd, parents=(("W", INST),)),)),
+        "value parent": edit(m, cpds=(edit(cpd, parents=(("U", INST),)),)),
+    }
+
+
+FAULTY = _faulty_models()
+
+
+@pytest.mark.parametrize(
+    "fault, messages",
+    [
+        ("invalid identifier", ["variable '9Z': invalid identifier"]),
+        ("duplicate name", ["variable 'X': duplicate name"]),
+        ("unknown kind", ["variable 'Z': unknown kind 'hidden'"]),
+        ("value states", ["variable 'U': value variables have no states"]),
+        ("one state", ["variable 'X': needs at least 2 states, has 1"]),
+        ("arc kind", ["arc both X U: unknown arc kind"]),
+        ("empty times", ["variable 'X' times: empty"]),
+        ("not increasing", ["variable 'X' times: not strictly increasing"]),
+        ("undeclared table", ["cpd W @ 1: undeclared variable"]),
+        ("cpd of a value", ["cpd U @ 1: cpd declared for value variable"]),
+        ("duplicate table", ["cpd X @ 1: duplicate table"]),
+        ("index outside", ["cpd X @ 2: index 2 not in the variable's times"]),
+        ("undeclared parent", ["cpd X @ 1: undeclared parent 'W'"]),
+        ("value parent", ["cpd X @ 1: value variable 'U' cannot be a parent"]),
+    ],
+)
+def test_validate_names_each_hand_built_fault(fault, messages):
+    assert validate(FAULTY[fault]) == messages
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("tdid 1\nmaster\nchance X : a b\n", "line 2: master sequence is empty"),
+        ("tdid 1\nchance X : a b ; times 1\n", "missing master declaration"),
+        (
+            "tdid 1\nchance X : a b\nmaster 1\n",
+            "line 2: variable 'X' declared before the master sequence "
+            "and without a times clause",
+        ),
+        ("tdid 1\nmaster 1\nchance X :\n", "line 3: chance variable 'X' lists no states"),
+        (MINIMAL.replace("1 | X : 1 0", "1 | X :"), "line 7: utility table lists no values"),
+        (MINIMAL + "arc inst X U\n", "line 8: duplicate arc inst X U"),
+        (
+            MINIMAL.replace("| X : 1 0", "| W : 1 0"),
+            "line 7: table for 'U' references undeclared variable 'W'",
+        ),
+    ],
+)
+def test_parse_error_messages(text, message):
+    with pytest.raises(ModelFormatError) as err:
+        parse(text)
+    assert str(err.value) == message

@@ -168,6 +168,30 @@ def test_evaluate_policy_rejects_wrong_table_size():
         evaluate_policy(did, bad)
 
 
+def test_policy_rule_refuses_a_decision_it_has_no_rule_for():
+    p = solve(deploy(parse(ONE_DECISION)))
+    with pytest.raises(SolveError) as err:
+        p.rule(("E", 1))
+    assert str(err.value) == "policy has no rule for E@1"
+
+
+def test_evaluate_policy_rejects_a_rule_keyed_on_the_wrong_observations():
+    did = deploy(parse(ONE_DECISION))
+    bad = Policy((DecisionRule(("D", 1), (("C", 1),), (0, 0)),), 0.0)
+    with pytest.raises(SolveError) as err:
+        evaluate_policy(did, bad)
+    assert str(err.value) == "policy for D@1 is keyed on the wrong observations"
+
+
+def test_policies_agree_refuses_another_meu_or_other_observations():
+    did = deploy(parse(ONE_DECISION))
+    p = solve(did)
+    assert policies_agree(did, p, p)
+    assert not policies_agree(did, p, Policy(p.rules, p.meu + 1.0))
+    keyed_on_c = Policy((DecisionRule(("D", 1), (("C", 1),), (0, 0)),), p.meu)
+    assert not policies_agree(did, p, keyed_on_c)
+
+
 def test_signaling_needs_global_optimization():
     # D1 sees C and influences nothing; D2 sees only D1 but must match C.
     # The optimum routes C through D1's choice, which local backward
@@ -645,6 +669,25 @@ def test_preflight_refuses_a_wide_frontier():
     did = deploy(parse(text))
     with pytest.raises(SolveCapError, match="holds 8388608 frontier cells"):
         solve(did)
+
+
+def test_search_bound_stops_counting_past_the_cap():
+    # D observes 7 binary chance nodes, 128 joint states: its 2^128 rules
+    # are refused without being counted, at the cap plus one.
+    names = [f"C{k}" for k in range(7)]
+    text = "\n".join(
+        ["tdid 1", "master 1", "decision D : a b", "decision E : a b", "value U"]
+        + [f"chance {c} : s f" for c in names]
+        + [f"arc inst {c} D" for c in names]
+        + ["arc inst D E", "arc inst E U"]
+        + [f"cpt {c} @ 1 | : 0.5 0.5" for c in names]
+        + ["util U @ 1 | E : 1 0", ""]
+    )
+    with pytest.raises(SolveCapError) as err:
+        solve(deploy(parse(text)))
+    assert str(err.value) == (
+        f"the search bound reaches {SEARCH_CAP + 1} branches, above the cap of {SEARCH_CAP}"
+    )
 
 
 def test_a_step_reading_more_variables_than_einsum_letters_is_refused():
