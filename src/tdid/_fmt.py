@@ -21,10 +21,12 @@ def fmt_int(x: int) -> str:
 
 
 def canonical_json(value) -> str:
-    """Serialize nested dict/list/scalar data to deterministic JSON text.
+    """Serialize nested dicts, lists, strings, ints and floats to
+    deterministic JSON text.
 
     Dict keys are emitted in insertion order (callers build reports in their
-    documented key order); floats use 17 significant digits.
+    documented key order); floats use 17 significant digits.  There is no
+    null, true or false: a report leaves out a value it does not have.
     """
     out: list[str] = []
     _write(value, out)
@@ -32,13 +34,7 @@ def canonical_json(value) -> str:
 
 
 def _write(value, out: list[str]) -> None:
-    if value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
+    if isinstance(value, int):
         out.append(fmt_int(value))
     elif isinstance(value, float):
         out.append(fmt_float(value))

@@ -240,10 +240,8 @@ def validate(model: CondensedTdid) -> list[str]:
     reported, never repaired: a denormalized probability row, for example,
     is flagged rather than silently renormalized.
     """
-    out: list[str] = []
-    _add_faults(out, "master sequence", _sequence_faults(model.master))
-    master_ok = not out
-    master = set(model.master) if master_ok else None
+    out = [f"master sequence: {f}" for f in _sequence_faults(model.master)]
+    master = None if out else set(model.master)
     names_seen: set[str] = set()
 
     for v in model.variables:
@@ -264,12 +262,8 @@ def validate(model: CondensedTdid) -> list[str]:
                 out.append(f"{where}: needs at least 2 states, has {len(v.states)}")
             if len(set(v.states)) != len(v.states):
                 out.append(f"{where}: duplicate state labels")
-        if master_ok and v.times is model.master:
-            continue  # the master's own checks cover it
-        faults = _sequence_faults(v.times)
-        if faults:
-            _add_faults(out, f"{where} times", faults)
-        if master_ok and v.times:
+        out.extend(f"{where} times: {f}" for f in _sequence_faults(v.times))
+        if master is not None and v.times:
             if not master.issuperset(v.times):
                 out.append(f"{where}: times not a subset of the master sequence")
             elif v.times[0] != model.master[0]:
@@ -279,23 +273,21 @@ def validate(model: CondensedTdid) -> list[str]:
                 )
 
     structure_ok = not out
+    by_name = model._by_name
 
-    arc_triples: set[tuple[str, str, str]] = set()
+    arcs_seen: set[Arc] = set()
     for a in model.arcs:
-        triple = (a.src, a.dst, a.kind)
-        faults = []
+        where = f"arc {a.kind} {a.src} {a.dst}"
         if a.kind not in (INST, LAG):
-            faults.append("unknown arc kind")
+            out.append(f"{where}: unknown arc kind")
         for end in (a.src, a.dst):
             if end not in names_seen:
-                faults.append(f"undeclared variable {end!r}")
-        if triple in arc_triples:
-            faults.append("duplicate arc")
-        arc_triples.add(triple)
-        if a.src in names_seen and model._by_name[a.src].kind == VALUE:
-            faults.append("value variables have no outgoing arcs")
-        if faults:
-            _add_faults(out, f"arc {a.kind} {a.src} {a.dst}", faults)
+                out.append(f"{where}: undeclared variable {end!r}")
+        if a in arcs_seen:
+            out.append(f"{where}: duplicate arc")
+        arcs_seen.add(a)
+        if a.src in names_seen and by_name[a.src].kind == VALUE:
+            out.append(f"{where}: value variables have no outgoing arcs")
 
     cycle = _inst_cycle(model) if structure_ok else None
     if cycle:
@@ -310,12 +302,46 @@ def validate(model: CondensedTdid) -> list[str]:
     if not structure_ok:
         return out  # table checks below assume sound structure
 
+    # Per variable: its indices, and the index (None: stationary) of each
+    # of its tables of the right class.
+    indices = {name: set(v.times) for name, v in by_name.items()}
     covered: dict[str, set] = {}
-    times: dict[str, frozenset] = {}
     for t in chain(model.cpds, model.utilities):
-        faults = _table_faults(model, t, covered, times)
-        if faults:
-            _add_faults(out, _table_name(t), faults)
+        is_cpd = isinstance(t, TabularCpd)
+        label, kind = ("cpd", CHANCE) if is_cpd else ("utility", VALUE)
+        i = t.time_index
+        where = f"{label} {t.variable} @ {'*' if i is None else i}"
+        v = by_name.get(t.variable)
+        if v is None:
+            out.append(f"{where}: undeclared variable")
+            continue
+        if v.kind != kind:
+            out.append(f"{where}: {label} declared for {v.kind} variable")
+            continue
+        own = covered.setdefault(t.variable, set())
+        if i in own:
+            out.append(f"{where}: duplicate table")
+        own.add(i)
+        if i is not None and i not in indices[t.variable]:
+            out.append(f"{where}: index {i} not in the variable's times")
+        n_rows = 1
+        for pname, _ in t.parents:
+            p = by_name.get(pname)
+            if p is None:
+                out.append(f"{where}: undeclared parent {pname!r}")
+                break
+            if p.kind == VALUE:
+                out.append(f"{where}: value variable {pname!r} cannot be a parent")
+                break
+            n_rows *= len(p.states)
+        else:  # every parent is a chance or decision variable
+            if i is not None:
+                want = parent_signature(model, t.variable, i)
+                if sorted(t.parents) != sorted(want):
+                    misfit = f"parents {_sig(t.parents)} do not match arcs"
+                    out.append(f"{where}: {misfit} ({_sig(want)})")
+            faults = _number_faults(t, n_rows, len(v.states))
+            out.extend(f"{where}: {f}" for f in faults)
 
     # Coverage: every indexed node needs exactly one applicable table.
     for v in model.variables:
@@ -354,11 +380,6 @@ def _sig(parents) -> str:
     return " ".join(f"{n}/{r}" for n, r in parents)
 
 
-def _add_faults(out: list[str], where: str, faults: list[str]) -> None:
-    """Append each fault to ``out`` as ``where: fault``."""
-    out.extend(f"{where}: {fault}" for fault in faults)
-
-
 def _sequence_faults(seq: tuple[int, ...]) -> list[str]:
     """The faults of an index sequence, each without the sequence's name:
     empty, an index that is not a positive int, or not strictly increasing."""
@@ -370,61 +391,6 @@ def _sequence_faults(seq: tuple[int, ...]) -> list[str]:
     if any(map(le, seq[1:], seq)):
         out.append("not strictly increasing")
     return out
-
-
-def _table_name(t) -> str:
-    """How a fault names a table: ``cpd X @ 3``, ``utility U @ *``."""
-    label = "cpd" if isinstance(t, TabularCpd) else "utility"
-    at = "*" if t.time_index is None else str(t.time_index)
-    return f"{label} {t.variable} @ {at}"
-
-
-def _table_faults(model, t, covered, times) -> list[str]:
-    """The faults of one table, each without the table's name; ``covered``
-    gathers, per variable, the index (None: stationary) of each of its
-    tables of the right class, and ``times`` each variable's indices as a
-    set, made when first needed."""
-    is_cpd = isinstance(t, TabularCpd)
-    i = t.time_index
-    by_name = model._by_name
-    v = by_name.get(t.variable)
-    if v is None:
-        return ["undeclared variable"]
-    if is_cpd and v.kind != CHANCE:
-        return [f"cpd declared for {v.kind} variable"]
-    if not is_cpd and v.kind != VALUE:
-        return [f"utility declared for {v.kind} variable"]
-
-    out: list[str] = []
-    own = covered.setdefault(t.variable, set())
-    if i in own:
-        out.append("duplicate table")
-    own.add(i)
-
-    if i is not None:
-        indices = times.get(t.variable)
-        if indices is None:
-            indices = times[t.variable] = frozenset(v.times)
-        if i not in indices:
-            out.append(f"index {i} not in the variable's times")
-
-    n_rows = 1
-    for pname, role in t.parents:
-        p = by_name.get(pname)
-        if p is None:
-            out.append(f"undeclared parent {pname!r}")
-            return out
-        if p.kind == VALUE:
-            out.append(f"value variable {pname!r} cannot be a parent")
-            return out
-        n_rows *= len(p.states)
-
-    if i is not None:
-        want = parent_signature(model, t.variable, i)
-        if sorted(t.parents) != sorted(want):
-            out.append(f"parents {_sig(t.parents)} do not match arcs ({_sig(want)})")
-
-    return out + _number_faults(t, n_rows, len(v.states))
 
 
 def _number_faults(t, n_rows: int, n_cols: int) -> list[str]:

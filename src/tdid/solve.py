@@ -15,9 +15,8 @@ entries keyed on different decision histories cover disjoint worlds, and
 is exact, signaling included.  ``solve`` searches that expression in one
 forward pass over a static plan (``_Plan``), whose skeleton depends on the
 diagram's structure alone and is built once per structure (``_skeletons``),
-with the diagram's tables bound to it per call: one read-only array per
-distinct body object and layout, so the slices of a stationary table share
-one.  The frontier is the joint of the chance variables some later step
+with the diagram's tables bound to it per call, one read-only array per
+table.  The frontier is the joint of the chance variables some later step
 reads; at a decision the search enumerates rules over the observed states
 with nonzero mass and branches on each option a rule uses, with the
 decision fixed.  Branches that share a decision history run as one batch:
@@ -53,15 +52,11 @@ from .model import DECISION, VALUE, _ancestors
 
 # numpy's einsum kernel, called without ``np.einsum``'s Python layer: the
 # same C function with the same arithmetic, minus the dispatch.  It lives in
-# ``numpy._core`` from numpy 2 on and in ``numpy.core`` before; where
-# neither has it, ``np.einsum`` itself.
+# ``numpy._core`` from numpy 2 on and in ``numpy.core`` before.
 try:
     from numpy._core.multiarray import c_einsum as _einsum
 except ImportError:
-    try:
-        from numpy.core.multiarray import c_einsum as _einsum
-    except ImportError:
-        _einsum = np.einsum
+    from numpy.core.multiarray import c_einsum as _einsum
 
 __all__ = [
     "SolveError",
@@ -246,14 +241,13 @@ def _subscripts(*scopes, out=()) -> str:
 class _Table:
     """Where a CPT or utility table sits in a plan: its scope, and the
     decision axes it moves first, so that fixing the decisions of a
-    history is one basic index.  The array is bound per diagram, from
-    position ``source`` of ``did.utilities`` (``utility``) or of
-    ``did.tables``, into the plan's ``arrays[slot]``; tables that share a
-    body and a ``layout`` (shape and axis order) share one array."""
+    history is one basic index.  For each diagram, ``bind`` makes the
+    table's own read-only array from position ``source`` of
+    ``did.utilities`` (``utility``) or of ``did.tables``; the diagram's
+    plan holds it as ``arrays[slot]``."""
 
     __slots__ = (
-        "slot", "source", "utility", "shape", "axes", "layout", "picks", "scope",
-        "_pick",
+        "slot", "source", "utility", "shape", "axes", "picks", "scope", "_pick",
     )
 
     def __init__(self, slot, source, parents, node, dpos, domains):
@@ -271,7 +265,6 @@ class _Table:
             self.axes = front + back
             axes = tuple(axes[i] for i in back)
         self.scope = axes
-        self.layout = (tuple(self.shape), self.axes and tuple(self.axes))
 
     def bind(self, flat) -> np.ndarray:
         """The body as this table's read-only array."""
@@ -362,23 +355,21 @@ class _Skeleton:
         pos = {n: s for s, n in enumerate(sequence)}
 
         # The step each value node (by position) is scored at, and the last
-        # step reading each chance variable.
+        # step reading each chance variable, from each (step, what it reads).
         scored: dict[int, list] = {}
-        last = {n: s for n, s in pos.items() if n not in dpos}
+        readers = [
+            (s, info[n] if n in dpos else tables[n].parents)
+            for s, n in enumerate(sequence)
+        ]
         for k, u in enumerate(did.utilities):
             s = max((pos[p] for p in u.parents), default=-1)
             scored.setdefault(s, []).append(k)
-            for p in u.parents:
+            readers.append((s, u.parents))
+        last = {n: s for n, s in pos.items() if n not in dpos}
+        for s, parents in readers:
+            for p in parents:
                 if p in last:
                     last[p] = max(last[p], s)
-        for n in needed:
-            for p in tables[n].parents:
-                if p in last:
-                    last[p] = max(last[p], pos[n])
-        for d in order:
-            for o in info[d]:
-                if o in last:
-                    last[o] = max(last[o], pos[d])
 
         # Scopes, then the caps, then the tables.  One batch of the search
         # holds the frontiers that share a decision history: per earlier
@@ -534,19 +525,11 @@ class _Plan:
         self.last = skeleton.last
         utilities = did.utilities
         self.const = sum(float(utilities[k].values[0]) for k in skeleton.constant)
-        # One array per body and layout: slices of a stationary table share
-        # its body.  Bodies are told apart by identity (-0.0 == 0.0), and
-        # the diagram holds each one for the whole call.
         tables = did.tables
-        bound: dict = {}
-        self.arrays = []
-        for t in skeleton.tables:
-            body = utilities[t.source].values if t.utility else tables[t.source].rows
-            key = (id(body), t.layout)
-            array = bound.get(key)
-            if array is None:
-                array = bound[key] = t.bind(body)
-            self.arrays.append(array)
+        self.arrays = [
+            t.bind(utilities[t.source].values if t.utility else tables[t.source].rows)
+            for t in skeleton.tables
+        ]
         self.tail = skeleton.tail
         self.to_go_reads = skeleton.to_go_reads
         self.to_go: dict = {}
