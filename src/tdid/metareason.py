@@ -537,7 +537,7 @@ def _read_entry(
             continue
         key, _, rest = line.partition(" ")
         if key in fields:
-            raise ModelFormatError(f"duplicate {key!r} in {name}", n)
+            raise MetareasonError(f"{name}: line {n}: duplicate {key!r}")
         fields[key] = rest.strip()
     missing = {"model", "quality", "cost", "space", "intervals"} - set(fields)
     if missing:

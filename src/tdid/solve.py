@@ -24,9 +24,11 @@ the frontier carries a leading axis over them, so each step is one einsum
 for the whole batch, a direct call of numpy's ``c_einsum`` kernel
 (``_einsum``).  The last decision needs no enumeration: its utility-to-go
 is one backward pass, cached by the decision values the tail reads.
-``evaluate_policy`` runs the same pass with the policy's own rule as the
-only candidate, on the plan ``solve`` built when given the diagram
-``solve`` last solved.
+``evaluate_policy`` makes each decision a chance node whose table is its
+rule, one-hot over the options, and runs the same plan on that
+decision-free diagram: chance steps only, no search (Shachter 1986,
+"Evaluating influence diagrams"; Cooper 1988, "A method for using belief
+networks as influence diagrams").
 
 ``brute_force`` is an independent oracle: it enumerates every
 deterministic policy in lexicographic order and evaluates each against
@@ -47,8 +49,8 @@ import numpy as np
 
 from ._errors import CapError, OracleCapError, SolveCapError, SolveError
 from ._memo import remember
-from .deploy import DeployedDid, NodeId, node_name
-from .model import DECISION, VALUE, _ancestors
+from .deploy import DeployedDid, DeployedTable, NodeId, node_name
+from .model import CHANCE, DECISION, VALUE, _ancestors
 
 # numpy's einsum kernel, called without ``np.einsum``'s Python layer: the
 # same C function with the same arithmetic, minus the dispatch.  It lives in
@@ -328,7 +330,7 @@ class _Skeleton:
     search branches exceeds the caps.
     """
 
-    def __init__(self, did: DeployedDid, evaluating: bool):
+    def __init__(self, did: DeployedDid):
         schedule = _schedule(did)
         order = did.decision_order
         info = did.info_by_decision
@@ -340,7 +342,7 @@ class _Skeleton:
             d: (domains[d], _cells([o for o in info[d] if o not in dpos], domains))
             for d in order
         }
-        self.search_bound = _search_bound([shapes[d] for d in order], evaluating)
+        self.search_bound = _search_bound([shapes[d] for d in order])
         _refuse_search(self.search_bound)
         tables = did.table_by_node
         reads = [p for u in did.utilities for p in u.parents]
@@ -374,8 +376,7 @@ class _Skeleton:
         # Scopes, then the caps, then the tables.  One batch of the search
         # holds the frontiers that share a decision history: per earlier
         # decision but the last, at most one per nonempty set of its observed
-        # states (just one when evaluating).  The tail after the last
-        # decision runs unbatched.
+        # states.  The tail after the last decision runs unbatched.
         scopes = []
         cells = []
         scope: tuple = ()
@@ -387,7 +388,7 @@ class _Skeleton:
                 k, m = shapes[n]
                 if n == order[-1]:
                     rows = 1
-                elif k > 1 and not evaluating:
+                elif k > 1:
                     rows *= 2 ** min(m, 64) - 1
                 continue
             chance = [p for p in tables[n].parents if p not in dpos]
@@ -504,9 +505,8 @@ class _Plan:
     caps are compared on every call, so a structure stored under one cap
     is refused under a lower one."""
 
-    def __init__(self, did: DeployedDid, evaluating: bool = False):
+    def __init__(self, did: DeployedDid):
         key = (
-            evaluating,
             did.slices,
             did.nodes,
             tuple((t.node, t.parents) for t in did.tables),
@@ -515,7 +515,7 @@ class _Plan:
         )
         skeleton = _skeletons.get(key)
         if skeleton is None:
-            skeleton = _Skeleton(did, evaluating)
+            skeleton = _Skeleton(did)
             remember(_skeletons, key, skeleton, _SKELETON_CAP)
         self.search_bound = skeleton.search_bound
         self.frontier_cells = skeleton.frontier_cells
@@ -536,14 +536,10 @@ class _Plan:
 
     # -- the pass --------------------------------------------------------
 
-    def run(self, rules=None) -> tuple[float, list]:
-        """Expected utility and the chosen entries.
-
-        With ``rules`` None, the best policy's; otherwise that of the given
-        rules (one choices tuple per decision, in decision order).  Entries
-        come as (decision position, entry, option) triples.
-        """
-        eu, trees = self._forward(0, np.ones(1), (), rules)
+    def run(self) -> tuple[float, list]:
+        """The best policy's expected utility and its chosen entries, as
+        (decision position, entry, option) triples."""
+        eu, trees = self._forward(0, np.ones(1), ())
         chosen: list = []
         stack = trees
         while stack:
@@ -554,7 +550,7 @@ class _Plan:
                 stack.extend(kids)
         return self.const + float(eu[0]), chosen
 
-    def _forward(self, s, f, hist, rules):
+    def _forward(self, s, f, hist):
         """Expected utility from step ``s`` on, and the chosen entries, for
         each row of ``f``: frontiers that share the decision history."""
         eu = np.zeros(len(f))
@@ -562,7 +558,7 @@ class _Plan:
         while s < self.last:
             step = steps[s]
             if step.decision:
-                v, trees = self._decide(s, step, f, hist, rules)
+                v, trees = self._decide(s, step, f, hist)
                 return eu + v, trees
             table = step.table.at(self.arrays, hist)
             for u, spec in step.values:
@@ -571,10 +567,10 @@ class _Plan:
             s += 1
         if s == len(steps):
             return eu, [None] * len(f)
-        v, trees = self._last_decision(steps[s], f, hist, rules)
+        v, trees = self._last_decision(steps[s], f, hist)
         return eu + v, trees
 
-    def _decide(self, s, step, f, hist, rules):
+    def _decide(self, s, step, f, hist):
         """Per row, enumerate rules over the observed states with nonzero
         mass and branch on each option a rule uses; keep the first rule
         within _TIE of the best.  The branches of every row that take one
@@ -592,13 +588,13 @@ class _Plan:
         items: list[list] = [[] for _ in range(step.options)]
         layout = []
         for live, zs in groups.items():
-            candidates, sets = self._candidates(step, live, base, rules)
+            candidates, sets = self._candidates(step, live)
             start = [len(items[a]) for a in range(step.options)]
             for a in range(step.options):
                 items[a].extend((z, sel) for z in zs for sel in sets[a])
             layout.append((live, zs, candidates, sets, start))
         done = [
-            self._branch(s, step, f, hist + (a,), batch, rules) if batch else None
+            self._branch(s, step, f, hist + (a,), batch) if batch else None
             for a, batch in enumerate(items)
         ]
         eu = np.empty(len(f))
@@ -625,33 +621,25 @@ class _Plan:
         return eu, trees
 
     @staticmethod
-    def _candidates(step, live, base, rules) -> tuple:
+    def _candidates(step, live) -> tuple:
         """The candidate rules over the live states, in lexicographic order,
         each with the branches it uses, as (option, index of the set of live
         states taking it); and per option those sets, first seen first.
-        While searching they depend on the live states alone, so the step
-        keeps them; evaluating, the one candidate is the given rule's."""
-        if rules is None and live in step.searched:
+        They depend on the live states alone, so the step keeps them."""
+        if live in step.searched:
             return step.searched[live]
-        if rules is None:
-            candidates = itertools.product(range(step.options), repeat=len(live))
-        else:
-            rule = rules[step.j]
-            candidates = [tuple(rule[base + step.offsets[o]] for o in live)]
         sets: list[dict] = [{} for _ in range(step.options)]
         out = []
-        for cand in candidates:
+        for cand in itertools.product(range(step.options), repeat=len(live)):
             br = []
             for a in sorted(set(cand)):
                 sel = tuple(o for o, c in zip(live, cand) if c == a)
                 br.append((a, sets[a].setdefault(sel, len(sets[a]))))
             out.append((cand, br))
-        found = out, [list(s) for s in sets]
-        if rules is None:
-            step.searched[live] = found
+        found = step.searched[live] = out, [list(s) for s in sets]
         return found
 
-    def _branch(self, s, step, f, hist, items, rules):
+    def _branch(self, s, step, f, hist, items):
         """For each (row, states) item, the row's worlds where the decision
         (now last in ``hist``) observes one of the states, scored from here
         on: values and chosen entries per item."""
@@ -663,21 +651,17 @@ class _Plan:
         eu = np.zeros(len(items))
         for u, spec in step.values:
             eu += _einsum(spec, f, u.at(self.arrays, hist))
-        rest, trees = self._forward(s + 1, f, hist, rules)
+        rest, trees = self._forward(s + 1, f, hist)
         return eu + rest, trees
 
-    def _last_decision(self, step, f, hist, rules):
+    def _last_decision(self, step, f, hist):
         """Best option per row and observed state from the cached
-        utility-to-go."""
+        utility-to-go: the lowest within _TIE of the best."""
         base = sum(hist[j] * st for j, st in step.dec_obs)
         table = _einsum(step.to_go, f, self._utility_to_go(step, hist))
         table = table.reshape(len(f), step.options, -1)
-        if rules is None:  # the lowest option within _TIE of the best
-            top = np.maximum.reduce(table, axis=1, keepdims=True)
-            choice = (table >= top - _TIE * abs(top)).argmax(axis=1)
-        else:
-            rule = rules[step.j]
-            choice = np.array([[rule[base + o] for o in step.offsets]] * len(f))
+        top = np.maximum.reduce(table, axis=1, keepdims=True)
+        choice = (table >= top - _TIE * abs(top)).argmax(axis=1)
         eu = table[np.arange(len(f))[:, None], choice, step.columns].sum(axis=1)
         entries = [base + o for o in step.offsets]
         return eu, [(step.j, entries, row, ()) for row in choice.tolist()]
@@ -702,39 +686,21 @@ class _Plan:
         return stacked
 
 
-def _search_bound(decisions, evaluating: bool) -> int:
+def _search_bound(decisions) -> int:
     """Upper bound on the branches the search visits below decisions other
     than the last, or a partial sum once that exceeds SEARCH_CAP.  Each
-    (options k, observed states m) pair is a decision in order.  Solving,
-    a decision enumerates k^m rules and branches on the options each uses:
-    k·(k^m − (k−1)^m) branches in all; evaluating, one rule uses at most
-    min(k, m) options."""
+    (options k, observed states m) pair is a decision in order; it
+    enumerates k^m rules and branches on the options each uses:
+    k·(k^m − (k−1)^m) branches in all."""
     total, width = 0, 1
     for k, m in decisions[:-1]:
-        if evaluating:
-            branches = min(k, m)
-        elif m * k.bit_length() > 128:
+        if m * k.bit_length() > 128:
             return SEARCH_CAP + 1
-        else:
-            branches = k * (k**m - (k - 1) ** m)
-        width *= branches
+        width *= k * (k**m - (k - 1) ** m)
         total += width
         if total > SEARCH_CAP:
             return total
     return total
-
-
-# The diagram ``solve`` last planned, and its plan: ``evaluate_policy`` on
-# that same object runs the policy through it, tables and warm
-# utility-to-go included, where any other diagram binds its own tables to a
-# skeleton.  Matched by identity, so no diagram is hashed and at most one
-# bound plan is held; replaced as one tuple, so a reader never pairs a
-# diagram with another's plan.  A solving plan is
-# admissible for evaluation (evaluating never bounds more branches or
-# frontier rows), its utility-to-go cache is keyed by decision values,
-# not by rules, and evaluating never reads the candidates it keeps, so
-# reusing it is exact.
-_last_plan: tuple = (None, None)
 
 
 def solve(did: DeployedDid) -> Policy:
@@ -743,10 +709,7 @@ def solve(did: DeployedDid) -> Policy:
     Exact for the module's information structure; ties between options
     break toward the lowest option index for every entry.
     """
-    global _last_plan
-    plan = _Plan(did)
-    _last_plan = (did, plan)
-    meu, chosen = plan.run()
+    meu, chosen = _Plan(did).run()
     order = did.decision_order
     tables = [[0] * _entry_count(did, d) for d in order]  # unreached: option 0
     for j, e, c in chosen:
@@ -837,13 +800,29 @@ def _check_policy(did: DeployedDid, policy: Policy) -> None:
 
 
 def evaluate_policy(did: DeployedDid, policy: Policy) -> float:
-    """Expected total utility of following the fixed policy."""
+    """Expected total utility of following the fixed policy.
+
+    Each decision becomes a chance node whose table is its rule, one-hot
+    over its options, so the plan of that decision-free diagram is chance
+    steps alone.  A decision outside the decision order has no rule and
+    stays a decision, which the plan refuses as ``solve`` does.
+    """
     _check_policy(did, policy)
-    choices = {r.node: r.choices for r in policy.rules}
-    planned, plan = _last_plan
-    if planned is not did:
-        plan = _Plan(did, evaluating=True)
-    return plan.run(tuple(choices[d] for d in did.decision_order))[0]
+    rules = {r.node: r for r in policy.rules}
+    tables = list(did.tables)
+    for d in did.decision_order:  # so every order of the rules shares a skeleton
+        r = rules[d]
+        k = range(len(did.states(d)))
+        one_hot = tuple(tuple(float(a == c) for a in k) for c in r.choices)
+        tables.append(DeployedTable(d, r.observations, one_hot))
+    fixed = DeployedDid(
+        did.slices,
+        tuple(n._replace(kind=CHANCE) if n.id in rules else n for n in did.nodes),
+        tuple(tables),
+        did.utilities,
+        (),
+    )
+    return _Plan(fixed).run()[0]
 
 
 def brute_force(did: DeployedDid) -> Policy:

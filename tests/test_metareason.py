@@ -37,7 +37,7 @@ from tdid.metareason import (
     with_cost,
     write_entry,
 )
-from tdid.model import ModelFormatError, canonical, parse, serialize
+from tdid.model import canonical, parse, serialize
 from tdid.abstraction import (
     abstract_space,
     abstract_time,
@@ -476,9 +476,9 @@ def test_kb_manifest_refuses_a_duplicated_key(tmp_path, fixtures_dir):
     kb = build_kb(tmp_path, fixtures_dir)
     manifest = kb / "full.entry"
     manifest.write_text(manifest.read_text() + "cost 1\n")
-    with pytest.raises(ModelFormatError) as err:
+    with pytest.raises(MetareasonError) as err:
         load_kb(kb)
-    assert str(err.value) == "line 7: duplicate 'cost' in full.entry"
+    assert str(err.value) == "full.entry: line 7: duplicate 'cost'"
 
 
 def build_kb(tmp_path, fixtures_dir, alpha=0.1, beta=1.0):

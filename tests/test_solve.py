@@ -461,8 +461,7 @@ def test_unsolvable_diagrams_are_refused_alike(did, by_solve, by_oracle, by_eval
     if by_evaluation is not None:
         kind, message = by_evaluation
         with pytest.raises(kind) as raised:
-            # A copy, so that no plan ``solve`` built is reused.
-            evaluate_policy(dataclasses.replace(did), _option_zero(did))
+            evaluate_policy(did, _option_zero(did))
         assert (type(raised.value), str(raised.value)) == (kind, message)
 
 
@@ -497,7 +496,6 @@ def test_oracle_equivalence_on_multi_state_decision_corpus():
             want = brute_force(did)
             assert abs(got.meu - want.meu) <= 1e-9, serialize(m)
             assert got.rules == want.rules, serialize(m)
-            # On the plan ``solve`` built, and on a fresh one (a copy).
             value = evaluate_policy(did, got)
             assert value == evaluate_policy(dataclasses.replace(did), got)
             assert abs(value - got.meu) <= 1e-9, serialize(m)
@@ -759,42 +757,21 @@ def test_only_summation_noise_counts_as_a_tie():
     assert p.rule(("D1", 1)).choices == (0, 0)
 
 
-@pytest.fixture
-def plans(monkeypatch):
-    """Records each solver plan built during the test: whether it was an
-    evaluating one."""
-    import tdid.solve
-
-    built = []
-
-    class Counting(tdid.solve._Plan):
-        def __init__(self, did, evaluating=False):
-            built.append(evaluating)
-            super().__init__(did, evaluating)
-
-    monkeypatch.setattr(tdid.solve, "_Plan", Counting)
-    return built
-
-
-def test_evaluate_policy_reuses_the_plan_solve_built(plans):
+def test_evaluation_after_solve_is_bitwise_that_on_an_equal_twin():
     model = cardiac(3)
     did = deploy(model)
     p = solve(did)
     value = evaluate_policy(did, p)
-    assert plans == [False]
-    # An equal but distinct diagram gets its own plan, and the same value.
     twin = deploy(model)
     assert twin == did and twin is not did
     assert evaluate_policy(twin, p) == value
-    assert plans == [False, True]
 
 
-def test_evaluation_on_the_solving_plan_is_bitwise_that_of_a_fresh_plan(plans):
-    # What the search keeps on its plan (candidates, utilities-to-go) must
-    # not change what evaluating a policy on that plan adds up.
+def test_evaluation_after_solve_is_bitwise_that_on_a_copy():
+    # What solving leaves behind (skeletons, candidates, utilities-to-go)
+    # must not change what evaluating a policy of the same diagram adds up.
     rng = np.random.default_rng(43)
-    cases = corpus(40, seed=41)
-    for m, did in cases:
+    for m, did in corpus(40, seed=41):
         rules = solve(did).rules
         for _ in range(3):
             choices = [
@@ -807,19 +784,17 @@ def test_evaluation_on_the_solving_plan_is_bitwise_that_of_a_fresh_plan(plans):
                 ),
                 0.0,
             )
-            reused = evaluate_policy(did, policy)
-            fresh = evaluate_policy(dataclasses.replace(did), policy)
-            assert reused == fresh, serialize(m)
-    assert plans == [False, True, True, True] * len(cases)
+            after_solve = evaluate_policy(did, policy)
+            copied = evaluate_policy(dataclasses.replace(did), policy)
+            assert after_solve == copied, serialize(m)
 
 
-def test_evaluate_policy_ignores_the_plan_of_another_diagram(plans):
+def test_solving_another_diagram_leaves_an_evaluation_unchanged():
     did_a, did_b = deploy(cardiac(2)), deploy(cardiac(3))
     p_a = solve(did_a)
     value = evaluate_policy(did_a, p_a)
     solve(did_b)
     assert evaluate_policy(did_a, p_a) == value
-    assert plans == [False, False, True]
 
 
 def test_evaluate_policy_admits_a_diagram_solve_refuses():
@@ -838,11 +813,10 @@ def test_evaluate_policy_admits_a_diagram_solve_refuses():
         solve(did)
 
 
-def test_policies_agree_after_solve_builds_no_further_plan(plans):
+def test_policies_agree_after_solve():
     did = deploy(cardiac(3))
     p = solve(did)
     assert policies_agree(did, p, dataclasses.replace(p))
-    assert plans == [False]
 
 
 # --- plan skeletons, shared by every diagram of one structure ---------------
@@ -930,7 +904,7 @@ def test_evaluation_on_a_warm_memo_is_bitwise_that_of_a_cleared_one(skeletons):
     for redraws in _redrawn_structures():
         for did in redraws[:4]:
             policy = _random_policy(did, rng)
-            solve(did)  # a solving skeleton, and one evaluating below
+            solve(did)
             warm = [evaluate_policy(dataclasses.replace(did), policy) for _ in range(2)]
             skeletons.clear()
             assert warm == [evaluate_policy(dataclasses.replace(did), policy)] * 2
@@ -981,19 +955,18 @@ def test_a_lower_cap_refuses_a_structure_already_stored(
 
 
 def _certificate(did, policy):
-    """The policy's value on a fresh evaluating plan, and the most that
-    changing any one rule entry to another option adds to it."""
-    plan = _Plan(did, evaluating=True)
-    rules = [list(r.choices) for r in policy.rules]
-    value = plan.run(tuple(map(tuple, rules)))[0]
+    """The policy's value, and the most that changing any one rule entry
+    to another option adds to it."""
+    value = evaluate_policy(did, policy)
     gain = -math.inf
-    for r, rule in zip(policy.rules, rules):
+    for k, r in enumerate(policy.rules):
         for e, c in enumerate(r.choices):
             for a in range(len(did.states(r.node))):
                 if a != c:
-                    rule[e] = a
-                    gain = max(gain, plan.run(tuple(map(tuple, rules)))[0] - value)
-            rule[e] = c
+                    changed = r.choices[:e] + (a,) + r.choices[e + 1 :]
+                    rules = list(policy.rules)
+                    rules[k] = dataclasses.replace(r, choices=changed)
+                    gain = max(gain, evaluate_policy(did, Policy(tuple(rules), 0.0)) - value)
     return value, gain
 
 
@@ -1004,7 +977,7 @@ def _certified(did):
     return abs(value - p.meu) <= tol and gain <= tol
 
 
-@pytest.mark.parametrize("horizon", [4, 5, 6])
+@pytest.mark.parametrize("horizon", [4, 5, 6, 7, 8])
 def test_solved_cardiac_policies_are_locally_optimal_past_the_oracle(horizon):
     # brute_force reaches cardiac only to T=3; past it, a solver that
     # picked a wrong rule at a searched decision would still claim the
