@@ -31,24 +31,6 @@ from .model import _READ_FLAGS, ModelError, _read, parse, serialize, validate
 
 __all__ = ["main"]
 
-# The solver's functions the commands call.  ``tdid.solve`` loads numpy, so
-# it is imported at the first call (PEP 562), and a command that solves
-# nothing never loads it; a name set on this module is called instead.
-_SOLVER = ("brute_force", "policies_agree", "policy_json", "solve")
-
-
-def __getattr__(name):
-    if name in _SOLVER:
-        from . import solve
-
-        return getattr(solve, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def _solver(name: str):
-    return globals().get(name) or __getattr__(name)
-
-
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_IO = 2
@@ -92,19 +74,22 @@ def cmd_deploy(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    # ``tdid.solve`` loads numpy, so only the commands that solve import it.
+    from .solve import brute_force, policies_agree, policy_json, solve
+
     model = _read_model(args.model)
     did = deploy(model)
-    policy = _solver("solve")(did)
+    policy = solve(did)
     if args.oracle:
-        reference = _solver("brute_force")(did)
-        if not _solver("policies_agree")(did, policy, reference):
+        reference = brute_force(did)
+        if not policies_agree(did, policy, reference):
             print(
                 "oracle mismatch: solver meu "
                 f"{policy.meu!r} vs brute force {reference.meu!r}",
                 file=sys.stderr,
             )
             return EXIT_ORACLE
-    _write(_solver("policy_json")(did, policy), args.out)
+    _write(policy_json(did, policy), args.out)
     return EXIT_OK
 
 
@@ -152,8 +137,10 @@ def cmd_select(args) -> int:
     result = construct(args.kb, _problem(args))
     _write(selection_report(result.curve, result.policy.meu), args.out)
     if args.policy_out:
+        from .solve import policy_json
+
         did = deploy(result.entry.model)
-        _write(_solver("policy_json")(did, result.policy), args.policy_out)
+        _write(policy_json(did, result.policy), args.policy_out)
     return EXIT_OK
 
 

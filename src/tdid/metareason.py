@@ -247,21 +247,12 @@ _policies: dict[CondensedTdid, Policy] = {}
 def _policy(model: CondensedTdid) -> Policy:
     policy = _policies.get(model)
     if policy is None:
-        solve = globals().get("solve") or __getattr__("solve")
+        # ``tdid.solve`` loads numpy, so only a call that solves imports it.
+        from .solve import solve
+
         policy = solve(deploy(model))
         remember(_policies, model, policy, _POLICY_CAP)
     return policy
-
-
-def __getattr__(name):
-    # ``solve`` loads numpy, so it is imported at its first call (PEP 562),
-    # and a command that solves nothing never loads it; a ``solve`` set on
-    # this module (a test's stand-in) is called instead.
-    if name == "solve":
-        from .solve import solve
-
-        return solve
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def solve_entry(entry: SuiteEntry) -> tuple[SuiteEntry, Policy]:
@@ -427,11 +418,35 @@ def load_kb(path) -> list[SuiteEntry]:
         listing = os.listdir(dir_fd)
         names = held.names if held.listing == listing else _manifests(listing)
         prefix = os.path.join(root, "")  # a listed name holds no separator
+        # ``files``: model file name -> its bytes, read at this load's first
+        # request for it (``read``); ``models``: see ``_read_entry``.
         records, files, models = {}, {}, {}
+
+        def read(model_file: str) -> bytes:
+            data = files.get(model_file)
+            if data is None:
+                data = files[model_file] = _read(
+                    prefix + model_file, dir_fd=dir_fd, name=model_file
+                )
+            return data
+
         for n in names:
-            records[n] = _load_entry(
-                dir_fd, prefix, n, held.records.get(n), files, models
-            )
+            data = _read(prefix + n, dir_fd=dir_fd, name=n)
+            record = held.records.get(n)
+            if record is not None and record.manifest == data:
+                try:
+                    kept = read(record.model_file) == record.model
+                except OSError:
+                    kept = False  # read again, and reported, below
+                if kept:
+                    # The record's equal bytes stand for the file, so the
+                    # read is freed now, not held to the load's end: a
+                    # knowledge base with one model file per entry loads no
+                    # slower.
+                    files[record.model_file] = record.model
+                    records[n] = record
+                    continue
+            records[n] = _read_entry(n, data, read, models)
     finally:
         os.close(dir_fd)
     if not records:
@@ -484,48 +499,10 @@ _KB_CAP = 8
 _directories: dict[str, _Directory] = {}
 
 
-def _model_bytes(dir_fd: int, prefix: str, model_file: str, files: dict) -> bytes:
-    """The bytes of a model file, read at the load's first request for it:
-    ``files`` maps the model file names this load has read to their bytes."""
-    data = files.get(model_file)
-    if data is None:
-        data = files[model_file] = _read(
-            prefix + model_file, dir_fd=dir_fd, name=model_file
-        )
-    return data
-
-
-def _load_entry(
-    dir_fd: int,
-    prefix: str,
-    name: str,
-    record: _Record | None,
-    files: dict,
-    models: dict,
-) -> _Record:
-    """The record of manifest ``name`` in the directory open as ``dir_fd``,
-    whose path is ``prefix`` (ending in a separator): ``record`` if the
-    manifest and the model file it names still hold its bytes, else one
-    read afresh."""
-    data = _read(prefix + name, dir_fd=dir_fd, name=name)
-    if record is not None and record.manifest == data:
-        try:
-            if _model_bytes(dir_fd, prefix, record.model_file, files) == record.model:
-                # The record's equal bytes stand for the file, so the read
-                # is freed now, not held to the load's end: a knowledge
-                # base with one model file per entry loads no slower.
-                files[record.model_file] = record.model
-                return record
-        except OSError:
-            pass  # read again, and reported, below
-    return _read_entry(prefix, name, data, dir_fd, files, models)
-
-
-def _read_entry(
-    prefix: str, name: str, data: bytes, dir_fd: int, files: dict, models: dict
-) -> _Record:
-    """Manifest ``name``, holding ``data``, read afresh.  ``models`` maps
-    the model bytes this load has parsed to those bytes and their model."""
+def _read_entry(name: str, data: bytes, read, models: dict) -> _Record:
+    """Manifest ``name``, holding ``data``, read afresh: ``read`` gives the
+    bytes of the model file it names, and ``models`` maps the model bytes
+    this load has parsed to those bytes and their model."""
     try:
         text = _decode(data)
     except ModelFormatError as err:
@@ -551,7 +528,7 @@ def _read_entry(
             f"base, got {model_file!r}"
         )
     try:
-        model_bytes = _model_bytes(dir_fd, prefix, model_file, files)
+        model_bytes = read(model_file)
     except OSError as err:
         raise MetareasonError(f"{name}: cannot read model: {err}") from err
     shared = models.get(model_bytes)

@@ -305,7 +305,7 @@ def _refuse_search(bound: int) -> None:
 def _refuse_frontier(cells: int) -> None:
     if cells > FRONTIER_CAP:
         raise SolveCapError(
-            f"solving holds {cells} frontier cells at once, above the cap of "
+            f"the plan holds {cells} frontier cells at once, above the cap of "
             f"{FRONTIER_CAP}"
         )
 

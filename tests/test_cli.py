@@ -203,7 +203,7 @@ def test_solve_oracle_refuses_dense_joint_before_allocating(capsys, tmp_path):
 
 
 def test_solve_oracle_mismatch_exit(capsys, one_decision, monkeypatch):
-    monkeypatch.setattr("tdid.cli.policies_agree", lambda *a, **k: False)
+    monkeypatch.setattr("tdid.solve.policies_agree", lambda *a, **k: False)
     code, _, err = run(capsys, "solve", one_decision, "--oracle")
     assert code == 3 and "oracle mismatch" in err
 

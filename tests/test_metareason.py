@@ -670,7 +670,7 @@ def counting_solve(monkeypatch):
         calls.append(did)
         return solve(did)
 
-    monkeypatch.setattr(metareason, "solve", counted)
+    monkeypatch.setattr("tdid.solve.solve", counted)
     return calls
 
 

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -949,6 +950,23 @@ def test_a_lower_cap_refuses_a_structure_already_stored(
     monkeypatch.undo()
     assert solve(dataclasses.replace(did)) == p
     assert len(skeletons) == 1
+
+
+def test_the_frontier_refusal_is_worded_for_solving_and_evaluating(monkeypatch):
+    # One refusal serves both callers, so it names the plan, not the caller.
+    did = deploy(cardiac(3))
+    policy = solve(did)
+    monkeypatch.setattr("tdid.solve.FRONTIER_CAP", 4)
+    with pytest.raises(SolveCapError) as solving:
+        solve(did)
+    with pytest.raises(SolveCapError) as evaluating:
+        evaluate_policy(did, policy)
+    for raised in (solving, evaluating):
+        message = str(raised.value)
+        assert re.fullmatch(
+            r"the plan holds \d+ frontier cells at once, above the cap of 4", message
+        )
+        assert "solving" not in message
 
 
 # --- a local-optimality certificate ------------------------------------------
